@@ -2,8 +2,9 @@
 
 Subcommands: embed, fit-noise, attention, contrib, weight-curve, eval,
 bench.  Exit codes: 0 ok, 1 runtime error, 2 missing input, 3 infeasible
-configuration, 64 usage.  All randomness flows from ``--seed``; identical
-flags and seed produce byte-identical primary output files.
+configuration, 64 usage.  Each subcommand accepts only the flags it reads.
+Randomness enters only through ``bench --seed`` and ``eval --seeds``;
+identical flags produce byte-identical primary output files.
 """
 
 from __future__ import annotations
@@ -12,15 +13,12 @@ import argparse
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from . import analysis, denoiser, evalkit
 from .encoder import EncoderConfig
 from .errors import InfeasibleConfigError, NoppaError
-from .evalkit import A_RANGE, K_RANGE, VARIANTS
-from .lexicon import load_frequencies, load_vectors
+from .evalkit import VARIANTS
+from .lexicon import load_frequencies, load_vectors, read_lines
 from .pipeline import Pipeline
 
 EXIT_OK = 0
@@ -33,66 +31,55 @@ DATA_DIR_ENV = "NOPPA_DATA_DIR"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage errors exit with code 64."""
+    """argparse parser whose usage errors exit with code 64 and that takes
+    flags only in full (else ``eval --seed`` would be read as ``--seeds``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _resolve(path: str) -> str:
-    """Resolve a path, falling back to $NOPPA_DATA_DIR as search root."""
-    if os.path.exists(path):
-        return path
+class MissingInputError(NoppaError):
+    """An input path that names no file (exit 2)."""
+
+
+# Every flag a subcommand may declare: name -> add_argument keywords.
+_FLAGS = {
+    "--vectors": dict(required=True, help="word-vector text file"),
+    "--freq": dict(required=True, help="token<TAB>count frequency file"),
+    "-a": dict(type=float, default=0.05,
+               help="frequency-smoothing constant (default 0.05)"),
+    "-k": dict(type=int, default=0, help="number of noise directions (default 0)"),
+    "--no-positions": dict(action="store_true", help="disable positional offsets"),
+    "--noise-model": dict(help="noise-model file to apply"),
+    "--out": dict(help="output file (default stdout)"),
+    "--unsafe-ranges": dict(action="store_true",
+                            help="allow a/k outside the documented ranges"),
+}
+
+
+def _add_flags(parser, *names):
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
+
+
+def _open_input(path: str, directory_ok: bool = False) -> str:
+    """Resolve an input path, falling back to $NOPPA_DATA_DIR as search root."""
     root = os.environ.get(DATA_DIR_ENV)
-    if root:
-        candidate = os.path.join(root, path)
-        if os.path.exists(candidate):
-            return candidate
-    return path
-
-
-def _common_flags(parser, need_freq=True):
-    parser.add_argument("--vectors", required=True, help="word-vector text file")
-    parser.add_argument("--freq", required=need_freq,
-                        help="token<TAB>count frequency file")
-    parser.add_argument("-a", type=float, default=0.05,
-                        help="frequency-smoothing constant (default 0.05)")
-    parser.add_argument("-k", type=int, default=0,
-                        help="number of noise directions (default 0)")
-    parser.add_argument("--no-positions", action="store_true",
-                        help="disable positional offsets")
-    parser.add_argument("--noise-model", help="noise-model file to apply")
-    parser.add_argument("--seed", type=int, default=1034, help="global RNG seed")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker fan-out for per-sentence encoding")
-    parser.add_argument("--out", help="output file (default stdout)")
-    parser.add_argument("--unsafe-ranges", action="store_true",
-                        help="allow a/k outside the documented ranges")
-
-
-def _check_ranges(args):
-    if args.unsafe_ranges:
-        return
-    if not (A_RANGE[0] <= args.a <= A_RANGE[1]):
-        raise InfeasibleConfigError(
-            f"a={args.a:g} outside [{A_RANGE[0]}, {A_RANGE[1]}] "
-            f"(use --unsafe-ranges to override)")
-    if not (K_RANGE[0] <= args.k <= K_RANGE[1]):
-        raise InfeasibleConfigError(
-            f"k={args.k} outside [{K_RANGE[0]}, {K_RANGE[1]}] "
-            f"(use --unsafe-ranges to override)")
-
-
-def _open_input(path):
-    resolved = _resolve(path)
+    resolved = os.path.join(root, path) if root and not os.path.exists(path) else path
     if not os.path.exists(resolved):
-        raise FileNotFoundError(f"missing input: {path}")
+        raise MissingInputError(f"missing input: {path}")
+    if os.path.isdir(resolved) and not directory_ok:
+        raise MissingInputError(f"input is a directory: {path}")
     return resolved
 
 
 def _build_pipeline(args) -> Pipeline:
-    _check_ranges(args)
+    if not args.unsafe_ranges:
+        evalkit.check_ranges([args.a], [args.k])
     vectors = load_vectors(_open_input(args.vectors))
     frequencies = load_frequencies(_open_input(args.freq))
     noise = None
@@ -113,37 +100,19 @@ def _write_out(args, text: str):
 
 
 def _read_sentences(path) -> list[str]:
-    with open(_open_input(path), "r", encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+    return [line for _, line in read_lines(_open_input(path))]
 
 
 def cmd_embed(args) -> int:
     pipe = _build_pipeline(args)
     lines = _read_sentences(args.sentences)
-    width = 2 * pipe.config.dim
-    nan_row = ",".join(["nan"] * width)
-
-    def one(indexed):
-        idx, raw = indexed
-        try:
-            _, emb = pipe.embed(raw)
-        except NoppaError:
-            return idx, None
-        return idx, emb.vector
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(one, enumerate(lines)))
-    else:
-        rows = [one(item) for item in enumerate(lines)]
-    out = []
-    for idx, vec in rows:  # ordering follows input line index
-        if vec is None:
-            print(f"warning: line {idx + 1} produced no embeddable tokens",
-                  file=sys.stderr)
-            out.append(nan_row)
-        else:
-            out.append(",".join(repr(float(v)) for v in vec))
+    rows, kept = pipe.embed_lines(lines)
+    out = [",".join(["nan"] * 2 * pipe.config.dim)] * len(lines)
+    for idx, vec in zip(kept, rows):
+        out[idx] = ",".join(map(repr, vec.tolist()))
+    for idx in sorted(set(range(len(lines))) - set(kept)):
+        print(f"warning: line {idx + 1} produced no embeddable tokens",
+              file=sys.stderr)
     _write_out(args, "\n".join(out) + "\n")
     return EXIT_OK
 
@@ -152,18 +121,11 @@ def cmd_fit_noise(args) -> int:
     if not args.out:
         raise NoppaError("--out is required for fit-noise")
     pipe = _build_pipeline(args)
-    lines = _read_sentences(args.sentences)
-    vectors = []
-    for raw in lines:
-        try:
-            _, emb = pipe.embed(raw, denoise=False)
-        except NoppaError:
-            continue
-        vectors.append(emb.vector)
-    if len(vectors) < max(args.k, 1):
+    rows, _ = pipe.embed_lines(_read_sentences(args.sentences), denoise=False)
+    if len(rows) < max(args.k, 1):
         raise InfeasibleConfigError(
-            f"k={args.k} but only {len(vectors)} sentences encoded successfully")
-    model = denoiser.fit(np.stack(vectors), args.k)
+            f"k={args.k} but only {len(rows)} sentences encoded successfully")
+    model = denoiser.fit(rows, args.k)
     denoiser.save(model, args.out)
     return EXIT_OK
 
@@ -206,7 +168,8 @@ def cmd_weight_curve(args) -> int:
 def cmd_eval(args) -> int:
     vectors = load_vectors(_open_input(args.vectors))
     frequencies = load_frequencies(_open_input(args.freq))
-    dataset = evalkit.load_dataset(args.name, _open_input(args.dataset))
+    dataset = evalkit.load_dataset(args.name,
+                                   _open_input(args.dataset, directory_ok=True))
     dataset = evalkit.subset(dataset, args.train_limit, args.dev_limit,
                              args.test_limit)
     seeds = _parse_grid(args.seeds, int)
@@ -261,38 +224,40 @@ def build_parser() -> _Parser:
                      description="Non-parametric sentence embeddings")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("embed", parents=[], help="embed a sentences file to CSV")
-    _common_flags(p)
+    pipeline_flags = ("--vectors", "--freq", "-a", "-k", "--no-positions",
+                      "--unsafe-ranges")
+
+    p = sub.add_parser("embed", help="embed a sentences file to CSV")
+    _add_flags(p, *pipeline_flags, "--noise-model", "--out")
     p.add_argument("sentences", help="input file, one sentence per line")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("fit-noise", help="fit and save a noise model")
-    _common_flags(p)
+    _add_flags(p, *pipeline_flags, "--out")
     p.add_argument("sentences", help="training sentences, one per line")
     p.set_defaults(func=cmd_fit_noise)
 
     p = sub.add_parser("attention", help="attention matrix CSV for one sentence")
-    _common_flags(p)
+    _add_flags(p, *pipeline_flags, "--noise-model", "--out")
     p.add_argument("sentence")
     p.set_defaults(func=cmd_attention)
 
     p = sub.add_parser("contrib", help="per-word contribution scores CSV")
-    _common_flags(p)
+    _add_flags(p, *pipeline_flags, "--noise-model", "--out")
     p.add_argument("sentence")
     p.add_argument("--pre-denoise", action="store_true",
                    help="score against the embedding before noise removal")
     p.set_defaults(func=cmd_contrib)
 
     p = sub.add_parser("weight-curve", help="weight-vs-a curves CSV")
-    p.add_argument("--freq", required=True)
+    _add_flags(p, "--freq", "--out")
     p.add_argument("--group", action="append", required=True,
                    help="NAME=tok1,tok2,... (repeatable)")
     p.add_argument("--a-grid", default="1,0.1,0.01,0.001")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_weight_curve)
 
     p = sub.add_parser("eval", help="grid-search evaluation on a dataset")
-    _common_flags(p)
+    _add_flags(p, "--vectors", "--freq", "--no-positions", "--unsafe-ranges")
     p.add_argument("dataset", help="TSV file or split directory")
     p.add_argument("--name", default="dataset")
     p.add_argument("--variant", choices=VARIANTS, default="noppa")
@@ -308,7 +273,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="throughput and scaling benchmark")
-    _common_flags(p)
+    _add_flags(p, "--vectors", "--freq", "-a", "-k", "--no-positions",
+               "--noise-model")
+    p.add_argument("--seed", type=int, default=1034,
+                   help="seed of the scaling probe's synthetic sentences")
     p.add_argument("--sentences", help="sentences file to time end-to-end")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--scale-n", type=int,
@@ -326,13 +294,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except MissingInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except InfeasibleConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except NoppaError as exc:
+    except (NoppaError, OSError) as exc:  # OSError: e.g. an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .encoder import SentenceEmbedding
 from .errors import FormatError, InfeasibleConfigError, NoppaError
+from .lexicon import read_lines
 
 _HEADER_MAGIC = "NOPPA-NOISE v1"
 
@@ -110,8 +111,7 @@ def save(model: NoiseModel, path) -> None:
 
 def load(path) -> NoiseModel:
     """Read a model written by ``save``; validates header and row shapes."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = [line for _, line in read_lines(path)]
     if not lines:
         raise FormatError(f"{path}: empty noise-model file")
     header = lines[0]

@@ -2,8 +2,8 @@
 log-kernel contextual embedding, and smooth-frequency-weighted averaging.
 
 All heavy loops accumulate in float64; word-vector storage stays float32.
-``encode`` is a pure function of immutable inputs and can be called
-concurrently across sentences.
+``encode`` embeds one sentence and also returns its diagnostics;
+``evalkit.encode_batch`` embeds many.  Both pool with ``pool``.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ class SentenceEmbedding:
     vector: np.ndarray  # (2*dim,) float64
     token_weights: np.ndarray  # (n,) float64
     attention: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.vector.shape[0]
 
 
 def pos_embed(i: int, dim: int) -> np.ndarray:
@@ -172,6 +168,11 @@ def contextual_embeddings(
     return per_word, (att if want_attention else None)
 
 
+def pool(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Length-normalized weighted sum of the per-word rows: the sentence vector."""
+    return (weights[:, None] * rows).sum(axis=0) / rows.shape[0]
+
+
 def encode(
     tokens: TokenSequence,
     vectors: VectorTable,
@@ -179,7 +180,7 @@ def encode(
     config: EncoderConfig,
     diagnostics: bool = False,
 ) -> SentenceEmbedding:
-    """Embed one tokenized sentence.
+    """Embed one tokenized sentence and keep its per-word diagnostics.
 
     The result is the length-normalized, smooth-frequency-weighted sum of
     the per-word contextual vectors.  Tokens with no frequency entry get
@@ -189,5 +190,5 @@ def encode(
                                           want_attention=diagnostics)
     probs = np.array([frequencies.get(t) for t in tokens.tokens], dtype=np.float64)
     weights = sfw(probs, config.a)
-    vector = (weights[:, None] * per_word).sum(axis=0) / len(tokens)
-    return SentenceEmbedding(vector=vector, token_weights=weights, attention=att)
+    return SentenceEmbedding(vector=pool(weights, per_word),
+                             token_weights=weights, attention=att)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import denoiser
-from .encoder import EncoderConfig, contextual_embeddings, sfw
+from .encoder import EncoderConfig, contextual_embeddings, pool, sfw
 from .errors import FormatError, InfeasibleConfigError, NoppaError
-from .lexicon import FrequencyTable, VectorTable, tokenize
+from .lexicon import FrequencyTable, TokenSequence, VectorTable, read_lines, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -90,14 +90,19 @@ class EmbedderSpec:
     def raw_average(self) -> bool:
         return self.variant in _RAW_VARIANTS
 
-    @property
-    def uses_noise_removal(self) -> bool:
-        return self.variant in _NR_VARIANTS and self.config.k > 0
-
 
 def _bucket(sentence: str) -> int:
     digest = hashlib.sha1(sentence.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % 10
+
+
+def _hash_split(labeled) -> tuple[list, list, list]:
+    """(train, dev, test): sentence hash buckets 0-7, 8 and 9."""
+    splits = ([], [], [])
+    for sentence, label in labeled:
+        key = sentence if isinstance(sentence, str) else "\t".join(sentence)
+        splits[max(_bucket(key) - 7, 0)].append((sentence, label))
+    return splits
 
 
 def _parse_labeled_line(line: str, lineno: int, path) -> tuple[object, str]:
@@ -112,14 +117,8 @@ def _parse_labeled_line(line: str, lineno: int, path) -> tuple[object, str]:
 
 
 def _read_tsv(path) -> list[tuple[object, str]]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            rows.append(_parse_labeled_line(line, lineno, path))
-    return rows
+    return [_parse_labeled_line(line, lineno, path)
+            for lineno, line in read_lines(path) if line.strip()]
 
 
 def _coerce_labels(rows: list[tuple[object, str]], label_count: int | None,
@@ -159,14 +158,8 @@ def load_dataset(name: str, path, label_count: int | None = None) -> LabeledData
         count = label_count if label_count is not None else (max(all_labels) + 1 if all_labels else 0)
         return LabeledDataset(name=name, train=splits["train"], dev=splits["dev"],
                               test=splits["test"], label_count=count)
-    rows = _read_tsv(path)
-    labeled, count = _coerce_labels(rows, label_count, name)
-    train, dev, test = [], [], []
-    for sentence, label in labeled:
-        key = sentence if isinstance(sentence, str) else "\t".join(sentence)
-        bucket = _bucket(key)
-        (train if bucket < 8 else dev if bucket == 8 else test).append((sentence, label))
-    return LabeledDataset(name=name, train=train, dev=dev, test=test, label_count=count)
+    labeled, count = _coerce_labels(_read_tsv(path), label_count, name)
+    return LabeledDataset(name, *_hash_split(labeled), label_count=count)
 
 
 def load_polarity_pair(name: str, pos_path, neg_path) -> LabeledDataset:
@@ -178,11 +171,7 @@ def load_polarity_pair(name: str, pos_path, neg_path) -> LabeledDataset:
                 line = line.strip()
                 if line:
                     labeled.append((line, label))
-    train, dev, test = [], [], []
-    for sentence, label in labeled:
-        bucket = _bucket(sentence)
-        (train if bucket < 8 else dev if bucket == 8 else test).append((sentence, label))
-    return LabeledDataset(name=name, train=train, dev=dev, test=test, label_count=2)
+    return LabeledDataset(name, *_hash_split(labeled), label_count=2)
 
 
 def subset(dataset: LabeledDataset, train_limit: int | None = None,
@@ -206,24 +195,33 @@ def pair_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 # Embedding of whole datasets
 
 
-def _embed_tokenized(tokens, spec: EmbedderSpec, vectors: VectorTable,
-                     frequencies: FrequencyTable,
-                     a_values: list[float]) -> dict[float, np.ndarray]:
-    """One sentence -> embedding per requested a (shared contextual pass)."""
-    if spec.raw_average:
-        rows = np.stack([np.asarray(vectors.get(t), dtype=np.float64)
-                         for t in tokens.tokens])
-    else:
-        rows, _ = contextual_embeddings(tokens, vectors, spec.config)
-    n = len(tokens)
-    if spec.uniform_weights:
-        mean = rows.sum(axis=0) / n
-        return {a: mean for a in a_values}
-    probs = np.array([frequencies.get(t) for t in tokens.tokens], dtype=np.float64)
-    out = {}
-    for a in a_values:
-        weights = sfw(probs, a)
-        out[a] = (weights[:, None] * rows).sum(axis=0) / n
+def encode_batch(token_lists: list[TokenSequence], vectors: VectorTable,
+                 frequencies: FrequencyTable | None, config: EncoderConfig,
+                 a_values: list[float] | None = None,
+                 raw: bool = False) -> dict[float, np.ndarray]:
+    """a -> matrix whose row i is ``encode(token_lists[i], ...).vector`` at a.
+
+    One contextual pass per sentence serves every a in ``a_values``
+    (default ``[config.a]``).  ``frequencies=None`` weights every word 1;
+    ``raw=True`` pools the stored word vectors instead of the contextual rows.
+    """
+    a_values = [config.a] if a_values is None else list(a_values)
+    width = vectors.dim if raw else 2 * config.dim
+    out = {a: np.empty((len(token_lists), width)) for a in a_values}
+    for i, tokens in enumerate(token_lists):
+        if raw:
+            rows = np.stack([np.asarray(vectors.get(t), dtype=np.float64)
+                             for t in tokens.tokens])
+        else:
+            rows, _ = contextual_embeddings(tokens, vectors, config)
+        if frequencies is None:
+            mean = pool(np.ones(len(tokens)), rows)
+            for a in a_values:
+                out[a][i] = mean
+            continue
+        probs = np.array([frequencies.get(t) for t in tokens.tokens], dtype=np.float64)
+        for a in a_values:
+            out[a][i] = pool(sfw(probs, a), rows)
     return out
 
 
@@ -237,26 +235,30 @@ def embed_split(sentences, spec: EmbedderSpec, vectors: VectorTable,
     """
     a_values = a_values if a_values is not None else [spec.config.a]
     kept: list[int] = []
-    per_a: dict[float, list[np.ndarray]] = {a: [] for a in a_values}
-    dropped = 0
+    token_lists: list[list[TokenSequence]] = []
     for i, sentence in enumerate(sentences):
         parts = sentence if isinstance(sentence, tuple) else (sentence,)
         toks = [tokenize(p, vectors) for p in parts]
-        if any(len(t) == 0 for t in toks):
-            dropped += 1
-            continue
-        embedded = [_embed_tokenized(t, spec, vectors, frequencies, a_values)
-                    for t in toks]
-        for a in a_values:
-            if len(embedded) == 1:
-                per_a[a].append(embedded[0][a])
-            else:
-                per_a[a].append(pair_features(embedded[0][a], embedded[1][a]))
-        kept.append(i)
-    if dropped:
-        logger.warning("dropped %d sentences with no in-vocabulary tokens", dropped)
-    matrices = {a: np.stack(vs) if vs else np.zeros((0, 0)) for a, vs in per_a.items()}
-    return matrices, kept
+        if all(len(t) for t in toks):
+            token_lists.append(toks)
+            kept.append(i)
+    if len(kept) < len(sentences):
+        logger.warning("dropped %d sentences with no in-vocabulary tokens",
+                       len(sentences) - len(kept))
+    if not kept:
+        return {a: np.zeros((0, 0)) for a in a_values}, kept
+    if len({len(toks) for toks in token_lists}) > 1:
+        raise FormatError("a dataset mixes single sentences and sentence pairs")
+    # One matrix per part: the sentence itself, or the two halves of a pair.
+    weights = None if spec.uniform_weights else frequencies
+    embedded = [encode_batch(part, vectors, weights, spec.config, a_values,
+                             raw=spec.raw_average)
+                for part in zip(*token_lists)]
+    if len(embedded) == 1:
+        return embedded[0], kept
+    return {a: np.stack([pair_features(u, v) for u, v in
+                         zip(embedded[0][a], embedded[1][a])])
+            for a in a_values}, kept
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +390,18 @@ class GridSearchResult:
     test_std: float
 
 
-def _check_grid_ranges(a_grid, k_grid):
+def check_ranges(a_grid, k_grid):
+    """Reject a and k values outside A_RANGE and K_RANGE."""
     for a in a_grid:
         if not (A_RANGE[0] <= a <= A_RANGE[1]):
             raise InfeasibleConfigError(
-                f"a={a:g} outside documented range [{A_RANGE[0]}, {A_RANGE[1]}]")
+                f"a={a:g} outside documented range [{A_RANGE[0]}, {A_RANGE[1]}] "
+                f"(use --unsafe-ranges to override)")
     for k in k_grid:
         if not (K_RANGE[0] <= k <= K_RANGE[1]):
             raise InfeasibleConfigError(
-                f"k={k} outside documented range [{K_RANGE[0]}, {K_RANGE[1]}]")
+                f"k={k} outside documented range [{K_RANGE[0]}, {K_RANGE[1]}] "
+                f"(use --unsafe-ranges to override)")
 
 
 def evaluate_runs(dataset: LabeledDataset, vectors: VectorTable,
@@ -423,17 +428,13 @@ def evaluate_runs(dataset: LabeledDataset, vectors: VectorTable,
     t0 = time.perf_counter()
     spec = EmbedderSpec(variant, EncoderConfig(
         a=a_values[0], dim=vectors.dim, use_positions=use_positions, k=0))
-    train_m, train_idx = embed_split([s for s, _ in dataset.train], spec,
-                                     vectors, frequencies, a_values)
-    dev_m, dev_idx = embed_split([s for s, _ in dataset.dev], spec,
-                                 vectors, frequencies, a_values)
-    test_m, test_idx = embed_split([s for s, _ in dataset.test], spec,
-                                   vectors, frequencies, a_values)
+    splits = (dataset.train, dataset.dev, dataset.test)
+    embedded = [embed_split([s for s, _ in split], spec, vectors, frequencies,
+                            a_values) for split in splits]
     embed_seconds = time.perf_counter() - t0
-
-    train_y = np.array([dataset.train[i][1] for i in train_idx])
-    dev_y = np.array([dataset.dev[i][1] for i in dev_idx])
-    test_y = np.array([dataset.test[i][1] for i in test_idx])
+    train_m, dev_m, test_m = (m for m, _ in embedded)
+    train_y, dev_y, test_y = (np.array([split[i][1] for i in kept])
+                              for split, (_, kept) in zip(splits, embedded))
 
     results = []
     for a in a_values:
@@ -479,7 +480,7 @@ def grid_search(dataset: LabeledDataset, vectors: VectorTable,
     with the highest mean dev accuracy.
     """
     if enforce_ranges:
-        _check_grid_ranges(a_grid, k_grid)
+        check_ranges(a_grid, k_grid)
     seeds = list(seeds) if seeds else [1034]
     runs = evaluate_runs(dataset, vectors, frequencies, variant, a_grid,
                          k_grid, seeds, use_positions=use_positions,
@@ -561,16 +562,7 @@ def _machine_info() -> str:
             f"numpy {np.__version__} | cpu {platform.processor() or 'unknown'}")
 
 
-def _time_encode_pass(token_lists, vectors, frequencies, config) -> float:
-    from .encoder import encode  # local import to keep the hot loop explicit
-    t0 = time.perf_counter()
-    for toks in token_lists:
-        encode(toks, vectors, frequencies, config)
-    return time.perf_counter() - t0
-
-
 def _synthetic_token_lists(vectors: VectorTable, length: int, count: int, rng):
-    from .lexicon import TokenSequence
     vocab = list(vectors.tokens())
     return [TokenSequence(tokens=[vocab[j] for j in rng.integers(0, len(vocab), length)])
             for _ in range(count)]
@@ -590,63 +582,55 @@ def bench_throughput(sentences, vectors: VectorTable, frequencies: FrequencyTabl
     """
     if repetitions < 3:
         raise NoppaError(f"repetitions must be >= 3, got {repetitions}")
-    from .encoder import encode
 
-    token_lists = []
-    for s in sentences:
-        toks = tokenize(s, vectors)
-        if len(toks):
-            token_lists.append(toks)
-    encode_times = []
-    embeddings = np.zeros((0, 2 * config.dim))
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        vecs = [encode(t, vectors, frequencies, config).vector for t in token_lists]
-        encode_times.append(time.perf_counter() - t0)
-        if vecs:
-            embeddings = np.stack(vecs)
+    def encode_passes(token_lists) -> tuple[TimingStat, np.ndarray]:
+        """Time each repetition's encode pass; returns the times and the rows."""
+        times = []
+        for _ in range(repetitions):
+            t0 = time.perf_counter()
+            rows = encode_batch(token_lists, vectors, frequencies, config)[config.a]
+            times.append(time.perf_counter() - t0)
+        return TimingStat(times), rows
+
+    denoise_reps = max(repetitions, 10)  # short op; extra reps stabilize the mean
+
+    def denoise_passes(rows, model, inner=1) -> TimingStat:
+        """Mean time of one remove_matrix pass, over ``inner`` passes per rep."""
+        times = []
+        for _ in range(denoise_reps):
+            t0 = time.perf_counter()
+            for _ in range(inner):
+                denoiser.remove_matrix(rows, model)
+            times.append((time.perf_counter() - t0) / inner)
+        return TimingStat(times)
+
+    token_lists = [t for t in (tokenize(s, vectors) for s in sentences) if len(t)]
+    encode_stat, embeddings = encode_passes(token_lists)
 
     model = noise
     if model is None and embeddings.size:
         model = denoiser.fit(embeddings, min(config.k, min(embeddings.shape)))
-    denoise_times = []
-    denoise_reps = max(repetitions, 10)  # short op; extra reps stabilize the mean
     if model is not None and embeddings.size:
-        for _ in range(denoise_reps):
-            t0 = time.perf_counter()
-            denoiser.remove_matrix(embeddings, model)
-            denoise_times.append(time.perf_counter() - t0)
+        denoise_stat = denoise_passes(embeddings, model)
     else:
-        denoise_times = [0.0] * denoise_reps
+        denoise_stat = TimingStat([0.0] * denoise_reps)
 
     scaling = None
     if scaling_n is not None:
         rng = np.random.default_rng(seed)
         short = _synthetic_token_lists(vectors, scaling_n, scaling_count, rng)
         long = _synthetic_token_lists(vectors, 2 * scaling_n, scaling_count, rng)
-        stats = {}
-        for tag, lists in (("short", short), ("long", long)):
-            stats[tag] = TimingStat([
-                _time_encode_pass(lists, vectors, frequencies, config)
-                for _ in range(repetitions)])
-        emb_short = np.stack([encode(t, vectors, frequencies, config).vector for t in short])
-        emb_long = np.stack([encode(t, vectors, frequencies, config).vector for t in long])
+        encode_short, emb_short = encode_passes(short)
+        encode_long, emb_long = encode_passes(long)
         k_probe = max(config.k, 1)
         probe_model = denoiser.fit(emb_short, min(k_probe, min(emb_short.shape)))
-        dstats = {}
-        for tag, emb in (("short", emb_short), ("long", emb_long)):
-            times = []
-            for _ in range(denoise_reps):
-                t0 = time.perf_counter()
-                for _ in range(25):  # single pass is ~ms; loop for a stable reading
-                    denoiser.remove_matrix(emb, probe_model)
-                times.append((time.perf_counter() - t0) / 25)
-            dstats[tag] = TimingStat(times)
+        # A single pass is ~ms; 25 per repetition give a stable reading.
         scaling = ScalingProbe(n=scaling_n, count=scaling_count,
-                               encode_short=stats["short"], encode_long=stats["long"],
-                               denoise_short=dstats["short"], denoise_long=dstats["long"])
+                               encode_short=encode_short, encode_long=encode_long,
+                               denoise_short=denoise_passes(emb_short, probe_model, 25),
+                               denoise_long=denoise_passes(emb_long, probe_model, 25))
 
     return BenchReport(sentence_count=len(token_lists),
-                       encode=TimingStat(encode_times),
-                       denoise=TimingStat(denoise_times),
+                       encode=encode_stat,
+                       denoise=denoise_stat,
                        scaling=scaling, machine=_machine_info())

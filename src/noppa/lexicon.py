@@ -118,6 +118,26 @@ class TokenSequence:
         return len(self.tokens)
 
 
+def _decode(raw: bytes, path, lineno: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 at line {lineno}") from None
+
+
+def read_lines(path):
+    """Yield (line number, line without its newline) of a UTF-8 text file;
+    bytes that are not UTF-8 raise FormatError naming the file and line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from enumerate((line.rstrip("\n") for line in fh), start=1)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:  # text mode decodes ahead; find the line
+            for lineno, raw in enumerate(fh, start=1):
+                _decode(raw, path, lineno)
+        raise
+
+
 def load_vectors(path, expected_dim: int | None = None) -> VectorTable:
     """Load a plain-text vector file (``token f1 f2 ... fd`` per line).
 
@@ -133,7 +153,7 @@ def load_vectors(path, expected_dim: int | None = None) -> VectorTable:
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             sha.update(raw)
-            line = raw.decode("utf-8").rstrip("\n")
+            line = _decode(raw, path, lineno).rstrip("\n")
             if not line.strip():
                 continue
             parts = line.split()
@@ -180,24 +200,22 @@ def save_vectors(table: VectorTable, path) -> None:
 def load_frequencies(path) -> FrequencyTable:
     """Load ``token<TAB>count`` lines into a normalized FrequencyTable."""
     counts: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            try:
-                token, count_str = line.split("\t")
-            except ValueError:
-                raise FormatError(f"{path}: expected 'token<TAB>count' at line {lineno}") from None
-            try:
-                count = int(count_str)
-            except ValueError:
-                raise FormatError(f"{path}: unparseable count at line {lineno}: {count_str!r}") from None
-            if count <= 0:
-                raise FormatError(f"{path}: non-positive count at line {lineno}")
-            if token in counts:
-                raise FormatError(f"{path}: duplicate token at line {lineno}: {token!r}")
-            counts[token] = count
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            token, count_str = line.split("\t")
+        except ValueError:
+            raise FormatError(f"{path}: expected 'token<TAB>count' at line {lineno}") from None
+        try:
+            count = int(count_str)
+        except ValueError:
+            raise FormatError(f"{path}: unparseable count at line {lineno}: {count_str!r}") from None
+        if count <= 0:
+            raise FormatError(f"{path}: non-positive count at line {lineno}")
+        if token in counts:
+            raise FormatError(f"{path}: duplicate token at line {lineno}: {token!r}")
+        counts[token] = count
     if not counts:
         raise FormatError(f"{path}: empty frequency file")
     logger.info("loaded %d frequencies from %s", len(counts), path)

@@ -9,6 +9,7 @@ import numpy as np
 from . import denoiser
 from .denoiser import NoiseModel
 from .encoder import EncoderConfig, SentenceEmbedding, encode
+from .errors import EmptySentenceError
 from .lexicon import FrequencyTable, TokenSequence, VectorTable, tokenize
 
 
@@ -38,5 +39,19 @@ class Pipeline:
             emb = denoiser.remove(emb, self.noise)
         return toks, emb
 
-    def embed_vector(self, raw: str, denoise: bool = True) -> np.ndarray:
-        return self.embed(raw, denoise=denoise)[1].vector
+    def embed_lines(self, lines: list[str],
+                    denoise: bool = True) -> tuple[np.ndarray, list[int]]:
+        """Embed many sentences; row i is ``embed(lines[kept[i]])``'s vector.
+
+        Returns (rows, kept): lines with no in-vocabulary token are left out
+        of ``rows`` and their indices out of ``kept``.
+        """
+        rows = np.empty((len(lines), 2 * self.config.dim))
+        kept: list[int] = []
+        for i, raw in enumerate(lines):
+            try:
+                rows[len(kept)] = self.embed(raw, denoise=denoise)[1].vector
+            except EmptySentenceError:
+                continue
+            kept.append(i)
+        return rows[:len(kept)], kept

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from noppa import denoiser
+from noppa import (EncoderConfig, Pipeline, denoiser, load_frequencies,
+                   load_vectors)
 from noppa.cli import main
 
 
@@ -68,19 +71,33 @@ class TestEmbed:
         for name in ("a.csv", "b.csv"):
             out = tmp / name
             assert run(["embed", "--vectors", vec, "--freq", freq,
-                        "--seed", "7", "--out", str(out), sent]) == 0
+                        "--out", str(out), sent]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_jobs_preserve_order(self, world):
+    def test_noise_model_rows_match_pipeline_embed_bitwise(self, world):
         tmp, vec, freq, sent = world
-        seq = tmp / "seq.csv"
-        par = tmp / "par.csv"
-        assert run(["embed", "--vectors", vec, "--freq", freq,
-                    "--out", str(seq), sent]) == 0
-        assert run(["embed", "--vectors", vec, "--freq", freq,
-                    "--jobs", "4", "--out", str(par), sent]) == 0
-        assert seq.read_bytes() == par.read_bytes()
+        noise = tmp / "noise.txt"
+        assert run(["fit-noise", "--vectors", vec, "--freq", freq, "-k", "2",
+                    "--out", str(noise), sent]) == 0
+        lines = (tmp / "sentences.txt").read_text().splitlines()
+        lines.insert(3, "zzzz qqqq")  # all out of vocabulary
+        mixed = tmp / "mixed.txt"
+        mixed.write_text("\n".join(lines) + "\n")
+        out = tmp / "emb.csv"
+        assert run(["embed", "--vectors", vec, "--freq", freq, "--noise-model",
+                    str(noise), "--out", str(out), str(mixed)]) == 0
+        pipe = Pipeline(vectors=load_vectors(vec), frequencies=load_frequencies(freq),
+                        config=EncoderConfig(a=0.05, dim=5),
+                        noise=denoiser.load(noise))
+        rows = out.read_text().splitlines()
+        assert len(rows) == len(lines)
+        for i, (line, row) in enumerate(zip(lines, rows)):
+            values = np.array([float(v) for v in row.split(",")])
+            if i == 3:
+                assert np.isnan(values).all()
+            else:
+                assert values.tobytes() == pipe.embed(line)[1].vector.tobytes()
 
     def test_data_dir_env_fallback(self, world, monkeypatch):
         tmp, vec, freq, sent = world
@@ -132,6 +149,61 @@ class TestFitNoise:
         expected = raw - (raw @ model.vk.T) @ model.vk
         np.testing.assert_allclose(cleaned, expected, atol=1e-10)
         assert not np.allclose(raw, cleaned)
+
+
+def _one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err
+
+
+class TestBadFiles:
+    @pytest.mark.parametrize("which", ["vectors", "freq", "sentences", "noise"])
+    def test_non_utf8_input_names_file_and_line(self, world, capsys, which):
+        tmp, vec, freq, sent = world
+        paths = {"vectors": vec, "freq": freq, "sentences": sent,
+                 "noise": str(tmp / "noise.txt")}
+        assert run(["fit-noise", "--vectors", vec, "--freq", freq, "-k", "2",
+                    "--out", paths["noise"], sent]) == 0
+        with open(paths[which], "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[2] = b"caf\xe9" + lines[2]  # Latin-1, not UTF-8
+        with open(paths[which], "wb") as fh:
+            fh.write(b"\n".join(lines))
+        capsys.readouterr()
+        assert run(["embed", "--vectors", vec, "--freq", freq, "--noise-model",
+                    paths["noise"], sent]) == 1
+        _one_line_error(capsys, paths[which], "line 3")
+
+    def test_non_utf8_dataset_names_file_and_line(self, world, capsys):
+        tmp, vec, freq, _ = world
+        ds = tmp / "toy.tsv"
+        ds.write_bytes(b"1\tgirl eats cake\n0\tdog runs fast\n1\tcaf\xe9 cake\n")
+        assert run(["eval", "--vectors", vec, "--freq", freq, "--a-grid", "0.05",
+                    "--k-grid", "0", str(ds)]) == 1
+        _one_line_error(capsys, str(ds), "line 3")
+
+    @pytest.mark.parametrize("which", ["--vectors", "--freq", "--noise-model",
+                                       "sentences"])
+    def test_directory_input_exit_2(self, world, capsys, which):
+        tmp, vec, freq, sent = world
+        inputs = {"--vectors": vec, "--freq": freq, "sentences": sent}
+        inputs[which] = str(tmp)
+        argv = ["embed", "--vectors", inputs["--vectors"], "--freq", inputs["--freq"]]
+        if which == "--noise-model":
+            argv += ["--noise-model", str(tmp)]
+        assert run(argv + [inputs["sentences"]]) == 2
+        _one_line_error(capsys, "is a directory", str(tmp))
+
+    @pytest.mark.parametrize("sub", ["embed", "fit-noise"])
+    @pytest.mark.parametrize("target", ["missing-parent", "directory"])
+    def test_unwritable_out_exit_1(self, world, capsys, sub, target):
+        tmp, vec, freq, sent = world
+        out = tmp / "nope" / "out.txt" if target == "missing-parent" else tmp
+        assert run([sub, "--vectors", vec, "--freq", freq, "-k", "1",
+                    "--out", str(out), sent]) == 1
+        _one_line_error(capsys, str(out))
 
 
 class TestAnalysisCommands:
@@ -210,16 +282,55 @@ class TestUsage:
             run([])
         assert exc.value.code == 64
 
+    # The flags each subcommand reads, and the flags it no longer accepts.
+    FLAGS = {
+        "embed": ({"--vectors", "--freq", "-a", "-k", "--no-positions",
+                   "--unsafe-ranges", "--noise-model", "--out"},
+                  ["--seed", "--jobs"]),
+        "fit-noise": ({"--vectors", "--freq", "-a", "-k", "--no-positions",
+                       "--unsafe-ranges", "--out"},
+                      ["--seed", "--jobs", "--noise-model"]),
+        "attention": ({"--vectors", "--freq", "-a", "-k", "--no-positions",
+                       "--unsafe-ranges", "--noise-model", "--out"},
+                      ["--seed", "--jobs"]),
+        "contrib": ({"--vectors", "--freq", "-a", "-k", "--no-positions",
+                     "--unsafe-ranges", "--noise-model", "--out", "--pre-denoise"},
+                    ["--seed", "--jobs"]),
+        "weight-curve": ({"--freq", "--out", "--group", "--a-grid"}, []),
+        "eval": ({"--vectors", "--freq", "--no-positions", "--unsafe-ranges",
+                  "--name", "--variant", "--a-grid", "--k-grid", "--seeds",
+                  "--train-limit", "--dev-limit", "--test-limit", "--fit-on-test",
+                  "--log"},
+                 ["--seed", "--jobs", "-a", "-k", "--noise-model", "--out"]),
+        "bench": ({"--vectors", "--freq", "-a", "-k", "--no-positions",
+                   "--noise-model", "--seed", "--sentences", "--reps",
+                   "--scale-n", "--scale-count"},
+                  ["--jobs", "--out", "--unsafe-ranges"]),
+    }
+
     @pytest.mark.parametrize("sub", ["embed", "fit-noise", "attention",
                                      "contrib", "weight-curve", "eval", "bench"])
-    def test_help_documents_flags(self, sub, capsys):
+    def test_help_documents_flags(self, sub, world, capsys):
+        tmp, vec, freq, sent = world
         with pytest.raises(SystemExit) as exc:
             run([sub, "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for flag in ("--out",):
-            assert flag in out
-        if sub not in ("weight-curve",):
-            for flag in ("--vectors", "--seed", "--jobs", "--noise-model",
-                         "--no-positions", "-a", "-k"):
-                assert flag in out
+        expected, removed = self.FLAGS[sub]
+        assert set(re.findall(r"^  (-[\w-]+)", out, re.M)) == expected | {"-h"}
+        valid = {
+            "embed": ["--vectors", vec, "--freq", freq, sent],
+            "fit-noise": ["--vectors", vec, "--freq", freq, "--out", "m.txt", sent],
+            "attention": ["--vectors", vec, "--freq", freq, "the girl"],
+            "contrib": ["--vectors", vec, "--freq", freq, "the girl"],
+            "weight-curve": ["--freq", freq, "--group", "stop=the"],
+            "eval": ["--vectors", vec, "--freq", freq, sent],
+            "bench": ["--vectors", vec, "--freq", freq],
+        }[sub]
+        for flag in removed:
+            value = [] if flag == "--unsafe-ranges" else ["1"]
+            with pytest.raises(SystemExit) as exc:
+                run([sub, *valid, flag, *value])
+            assert exc.value.code == 64
+            err = capsys.readouterr().err
+            assert re.search(rf"unrecognized arguments: {flag}\b", err), err

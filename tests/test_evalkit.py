@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from noppa import (EncoderConfig, FormatError, InfeasibleConfigError,
-                   NoppaError, evalkit, synth)
+from noppa import (EmptySentenceError, EncoderConfig, FormatError,
+                   InfeasibleConfigError, NoppaError, TokenSequence,
+                   contextual_embeddings, encode, evalkit, sfw, synth)
 from noppa.evalkit import (EmbedderSpec, MLPClassifier, bench_throughput,
-                           grid_search, load_dataset, pair_features, subset,
-                           train_classifier)
+                           encode_batch, grid_search, load_dataset,
+                           pair_features, subset, train_classifier)
 
-from conftest import random_frequencies, random_table
+from conftest import random_frequencies, random_sentence, random_table
+import oracles
 
 
 def bucket_sentences(wanted):
@@ -99,6 +101,76 @@ class TestEmbedderSpec:
         assert not EmbedderSpec("noppa", cfg).raw_average
 
 
+class TestEncodeBatch:
+    A_VALUES = [0.01, 0.05, 0.15, 1.0]
+
+    @pytest.mark.parametrize("use_positions", [True, False])
+    @pytest.mark.parametrize("lengths", [[1], [1, 20, 3, 33, 1]])
+    def test_rows_bitwise_equal_per_sentence_encode(self, tiny_world, lengths,
+                                                   use_positions):
+        vt, ft, _ = tiny_world
+        rng = np.random.default_rng(sum(lengths))
+        token_lists = [random_sentence(rng, vt, n) for n in lengths]
+        cfg = EncoderConfig(a=0.05, dim=vt.dim, use_positions=use_positions)
+        batch = encode_batch(token_lists, vt, ft, cfg, self.A_VALUES)
+        assert sorted(batch) == self.A_VALUES
+        for a in self.A_VALUES:
+            assert batch[a].shape == (len(lengths), 2 * vt.dim)
+            per_a = EncoderConfig(a=a, dim=vt.dim, use_positions=use_positions)
+            for row, toks in zip(batch[a], token_lists):
+                expected = encode(toks, vt, ft, per_a).vector
+                assert row.tobytes() == expected.tobytes()
+
+    def test_default_a_is_config_a(self, tiny_world):
+        vt, ft, cfg = tiny_world
+        toks = random_sentence(np.random.default_rng(11), vt, 4)
+        batch = encode_batch([toks], vt, ft, cfg)
+        assert list(batch) == [cfg.a]
+        assert batch[cfg.a][0].tobytes() == encode(toks, vt, ft, cfg).vector.tobytes()
+
+    @pytest.mark.parametrize("use_positions", [True, False])
+    def test_matches_scalar_oracle(self, tiny_world, use_positions):
+        vt, ft, _ = tiny_world
+        rng = np.random.default_rng(12)
+        token_lists = [random_sentence(rng, vt, n) for n in (1, 21)]
+        cfg = EncoderConfig(a=0.05, dim=vt.dim, use_positions=use_positions)
+        batch = encode_batch(token_lists, vt, ft, cfg, [0.01, 0.1])
+        for a, rows in batch.items():
+            for row, toks in zip(rows, token_lists):
+                stored = [[float(v) for v in vt.get(t)] for t in toks.tokens]
+                probs = [ft.get(t) for t in toks.tokens]
+                expected = oracles.sentence_embedding(stored, probs, a,
+                                                      use_positions)
+                np.testing.assert_allclose(row, expected, rtol=0, atol=1e-10)
+
+    def test_no_frequencies_gives_plain_mean(self, tiny_world):
+        vt, ft, cfg = tiny_world
+        toks = random_sentence(np.random.default_rng(13), vt, 20)
+        batch = encode_batch([toks], vt, None, cfg, [0.01, 0.1])
+        per_word, _ = contextual_embeddings(toks, vt, cfg)
+        for rows in batch.values():
+            assert rows[0].tobytes() == (per_word.sum(axis=0) / len(toks)).tobytes()
+
+    def test_empty_batch(self, tiny_world):
+        vt, ft, cfg = tiny_world
+        assert encode_batch([], vt, ft, cfg)[cfg.a].shape == (0, 2 * cfg.dim)
+
+    def test_empty_sentence_rejected(self, tiny_world):
+        vt, ft, cfg = tiny_world
+        with pytest.raises(EmptySentenceError):
+            encode_batch([TokenSequence(tokens=[])], vt, ft, cfg)
+
+    def test_raw_pools_stored_vectors(self, tiny_world):
+        vt, ft, cfg = tiny_world
+        toks = random_sentence(np.random.default_rng(14), vt, 7)
+        stored = np.stack([vt.get(t) for t in toks.tokens]).astype(np.float64)
+        probs = np.array([ft.get(t) for t in toks.tokens], dtype=np.float64)
+        batch = encode_batch([toks], vt, ft, cfg, [0.01, 0.1], raw=True)
+        for a, rows in batch.items():
+            expected = (sfw(probs, a)[:, None] * stored).sum(axis=0) / len(toks)
+            assert rows[0].tobytes() == expected.tobytes()
+
+
 class TestEmbedSplit:
     def test_raw_variant_dimension(self, tiny_world):
         vt, ft, cfg = tiny_world
@@ -137,6 +209,19 @@ class TestEmbedSplit:
         from noppa import contextual_embeddings, tokenize
         per_word, _ = contextual_embeddings(tokenize(sentence, vt), vt, spec_u.config)
         np.testing.assert_allclose(mats[0.05][0], per_word.mean(axis=0), atol=1e-12)
+
+    def test_pairs_and_mixed_arity(self, tiny_world):
+        vt, ft, cfg = tiny_world
+        spec = EmbedderSpec("noppa", cfg)
+        vocab = list(vt.tokens())
+        u, v = " ".join(vocab[:3]), " ".join(vocab[3:7])
+        mats, kept = evalkit.embed_split([(u, v), (u, "zzz")], spec, vt, ft)
+        singles, _ = evalkit.embed_split([u, v], spec, vt, ft)
+        assert kept == [0]
+        np.testing.assert_array_equal(mats[cfg.a][0],
+                                      pair_features(*singles[cfg.a]))
+        with pytest.raises(FormatError, match="mixes"):
+            evalkit.embed_split([u, (u, v)], spec, vt, ft)
 
     def test_pair_features(self):
         u = np.array([1.0, 2.0])
