@@ -9,6 +9,7 @@ all randomness drawn from one seed.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import logging
 import os
@@ -425,45 +426,48 @@ def evaluate_runs(dataset: LabeledDataset, vectors: VectorTable,
     if uniform:
         a_values = [a_values[0]]  # weights are constant 1; a is inert
 
-    t0 = time.perf_counter()
-    spec = EmbedderSpec(variant, EncoderConfig(
-        a=a_values[0], dim=vectors.dim, use_positions=use_positions, k=0))
-    splits = (dataset.train, dataset.dev, dataset.test)
-    embedded = [embed_split([s for s, _ in split], spec, vectors, frequencies,
-                            a_values) for split in splits]
-    embed_seconds = time.perf_counter() - t0
-    train_m, dev_m, test_m = (m for m, _ in embedded)
-    train_y, dev_y, test_y = (np.array([split[i][1] for i in kept])
-                              for split, (_, kept) in zip(splits, embedded))
+    # The log opens before any embedding, so an unwritable path fails first.
+    with (open(log_path, "a", encoding="utf-8") if log_path is not None
+          else contextlib.nullcontext()) as log:
+        t0 = time.perf_counter()
+        spec = EmbedderSpec(variant, EncoderConfig(
+            a=a_values[0], dim=vectors.dim, use_positions=use_positions, k=0))
+        splits = (dataset.train, dataset.dev, dataset.test)
+        embedded = [embed_split([s for s, _ in split], spec, vectors, frequencies,
+                                a_values) for split in splits]
+        embed_seconds = time.perf_counter() - t0
+        train_m, dev_m, test_m = (m for m, _ in embedded)
+        train_y, dev_y, test_y = (np.array([split[i][1] for i in kept])
+                                  for split, (_, kept) in zip(splits, embedded))
 
-    results = []
-    for a in a_values:
-        for k in k_values:
-            if k == 0:
-                split_x = (train_m[a], dev_m[a], test_m[a])
-            else:
-                fit_rows = (np.vstack([train_m[a], test_m[a]])
-                            if fit_on == "train+test" else train_m[a])
-                model = denoiser.fit(fit_rows, k)
-                split_x = tuple(denoiser.remove_matrix(m, model) if m.shape[0] else m
-                                for m in (train_m[a], dev_m[a], test_m[a]))
-            for seed in seeds:
-                t1 = time.perf_counter()
-                clf, dev_acc = train_classifier(split_x[0], train_y,
-                                                split_x[1], dev_y,
-                                                dataset.label_count, seed)
-                train_seconds = time.perf_counter() - t1
-                result = EvalResult(
-                    dataset=dataset.name, variant=variant, a=a, k=k, seed=seed,
-                    dev_accuracy=dev_acc,
-                    test_accuracy=clf.score(split_x[2], test_y),
-                    embed_seconds=embed_seconds / max(len(a_values), 1),
-                    train_seconds=train_seconds)
-                results.append(result)
-                logger.info("run %s", result.logline())
-                if log_path is not None:
-                    with open(log_path, "a", encoding="utf-8") as fh:
-                        fh.write(result.logline() + "\n")
+        results = []
+        for a in a_values:
+            for k in k_values:
+                if k == 0:
+                    split_x = (train_m[a], dev_m[a], test_m[a])
+                else:
+                    fit_rows = (np.vstack([train_m[a], test_m[a]])
+                                if fit_on == "train+test" else train_m[a])
+                    model = denoiser.fit(fit_rows, k)
+                    split_x = tuple(denoiser.remove_matrix(m, model) if m.shape[0] else m
+                                    for m in (train_m[a], dev_m[a], test_m[a]))
+                for seed in seeds:
+                    t1 = time.perf_counter()
+                    clf, dev_acc = train_classifier(split_x[0], train_y,
+                                                    split_x[1], dev_y,
+                                                    dataset.label_count, seed)
+                    train_seconds = time.perf_counter() - t1
+                    result = EvalResult(
+                        dataset=dataset.name, variant=variant, a=a, k=k, seed=seed,
+                        dev_accuracy=dev_acc,
+                        test_accuracy=clf.score(split_x[2], test_y),
+                        embed_seconds=embed_seconds / max(len(a_values), 1),
+                        train_seconds=train_seconds)
+                    results.append(result)
+                    logger.info("run %s", result.logline())
+                    if log is not None:
+                        log.write(result.logline() + "\n")
+                        log.flush()
     return results
 
 

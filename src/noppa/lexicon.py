@@ -1,13 +1,21 @@
 """Word vectors, unigram frequencies, and tokenization.
 
-Tables are loaded once from plain-text files and are immutable afterwards,
-so they can be shared freely across worker threads.
+Tables are read from plain-text files and are immutable afterwards.  The
+vector table, the one large input, is parsed once per distinct file: the
+parsed matrix and tokens are kept in a content-addressed cache entry under
+``cache_root()`` and memory-mapped by every later load of the same bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+import json
 import logging
+import os
+import shutil
+import tempfile
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,20 +151,77 @@ def load_vectors(path, expected_dim: int | None = None) -> VectorTable:
 
     Duplicate tokens keep their first occurrence.  Every line must carry the
     same number of components; the first offending line is named in the
-    error.  Raises FileNotFoundError / FormatError.
+    error.  A word2vec ``count dim`` first line is read as a header (see
+    ``_parse_vectors``).  Raises FileNotFoundError / FormatError.
+
+    The parsed table is kept in a cache entry keyed by the file's sha256
+    (``cache_root()``); a later load of the same bytes maps that entry in
+    place of parsing the text, with the same result bit for bit.
     """
+    start = time.perf_counter()
+    with open(path, "rb") as fh:
+        digest = hashlib.file_digest(fh, "sha256").hexdigest()
+    entry = _entry_path(digest)
+    if os.path.isdir(entry):
+        table = _read_entry(entry, digest)
+        if expected_dim in (None, table.dim):
+            logger.info("vector cache hit: %s (%.3f s)", entry,
+                        time.perf_counter() - start)
+            return table
+    table = _parse_vectors(path, expected_dim)
+    # The bytes parsed may differ from the bytes hashed above if the file
+    # changed in between, so the entry is keyed by the parse's own hash.
+    entry = _entry_path(table.source_hash)
+    try:
+        _write_entry(entry, table)
+        outcome = "miss, wrote"
+    except OSError as exc:
+        outcome = f"miss, skipped writing ({exc})"
+    logger.info("vector cache %s %s (%.3f s)", outcome, entry,
+                time.perf_counter() - start)
+    return table
+
+
+def _vector_lines(fh, sha, path):
+    """Yield (line number, whitespace-split fields) of each non-blank line,
+    feeding every byte of the file to ``sha``."""
+    for lineno, raw in enumerate(fh, start=1):
+        sha.update(raw)
+        parts = _decode(raw, path, lineno).split()
+        if parts:
+            yield lineno, parts
+
+
+def _count(text: str) -> int | None:
+    """``text`` as a word2vec header integer, else None: ASCII digits, at
+    most 18 of them (``int`` refuses digit strings past 4300)."""
+    return int(text) if text.isascii() and text.isdigit() and len(text) <= 18 else None
+
+
+def _is_header(head) -> bool:
+    """Whether the first of the first two non-blank lines is a word2vec
+    ``count dim`` header: two integers, dim > 1, and the next line has dim
+    components.  ``count 1`` stays a one-component vector line."""
+    if len(head) < 2 or len(head[0][1]) != 2:
+        return False
+    count, dim = map(_count, head[0][1])
+    return (count is not None and dim is not None and dim > 1
+            and len(head[1][1]) - 1 == dim)
+
+
+def _parse_vectors(path, expected_dim: int | None) -> VectorTable:
+    """The text parser behind ``load_vectors``; a header line is not counted
+    in ``parsed_lines`` and its count must equal the vector lines."""
     sha = hashlib.sha256()
     index: dict[str, int] = {}
     rows: list[np.ndarray] = []
     dim: int | None = expected_dim
     parsed = 0
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            sha.update(raw)
-            line = _decode(raw, path, lineno).rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split()
+        lines = _vector_lines(fh, sha, path)
+        head = list(itertools.islice(lines, 2))
+        header = head.pop(0) if _is_header(head) else None
+        for lineno, parts in itertools.chain(head, lines):
             token, values = parts[0], parts[1:]
             if dim is None:
                 dim = len(values)
@@ -175,6 +240,9 @@ def load_vectors(path, expected_dim: int | None = None) -> VectorTable:
             if token not in index:
                 index[token] = len(rows)
                 rows.append(row)
+    if header is not None and _count(header[1][0]) != parsed:
+        raise FormatError(f"{path}: word2vec header at line {header[0]} gives "
+                          f"{header[1][0]} vectors, the file has {parsed}")
     if not rows:
         raise FormatError(f"{path}: empty vector file")
     matrix = np.stack(rows)
@@ -183,6 +251,77 @@ def load_vectors(path, expected_dim: int | None = None) -> VectorTable:
                 len(rows), dim, parsed, path)
     return VectorTable(dim=int(dim), matrix=matrix, index=index,
                        source_hash=sha.hexdigest(), parsed_lines=parsed)
+
+
+# Version of the parsed format behind a cache entry; a change to the parser
+# changes it, so an entry written by an older parser is never read.
+CACHE_VERSION = 1
+_MATRIX, _TOKENS, _META = "matrix.npy", "tokens.txt", "meta.json"
+
+
+def cache_root() -> str:
+    """``$XDG_CACHE_HOME/noppa``, or ``~/.cache/noppa`` when XDG_CACHE_HOME
+    is unset or not an absolute path."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "noppa")
+
+
+def _entry_path(digest: str) -> str:
+    return os.path.join(cache_root(), f"vectors-v{CACHE_VERSION}-{digest}")
+
+
+def _write_entry(entry: str, table: VectorTable) -> None:
+    """Publish ``table`` at ``entry`` atomically: write a temporary directory
+    beside it and rename it into place.  An entry a concurrent writer
+    published first is kept."""
+    root = os.path.dirname(entry)
+    os.makedirs(root, exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=".tmp-", dir=root)
+    try:
+        np.save(os.path.join(tmp, _MATRIX), table.matrix)
+        with open(os.path.join(tmp, _TOKENS), "wb") as fh:
+            fh.write("\n".join(table.index).encode("utf-8"))
+        with open(os.path.join(tmp, _META), "w", encoding="utf-8") as fh:
+            json.dump({"version": CACHE_VERSION, "dim": table.dim,
+                       "rows": table.vocab_size,
+                       "parsed_lines": table.parsed_lines}, fh)
+        try:
+            os.rename(tmp, entry)
+        except OSError:
+            if not os.path.isdir(entry):
+                raise
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _read_entry(entry: str, digest: str) -> VectorTable:
+    """Map a cache entry.  Any part that is missing, unreadable or disagrees
+    with the others raises a one-line FormatError naming the entry."""
+    def corrupted(reason):
+        return FormatError(f"corrupted vector cache entry {entry} ({reason}); "
+                           f"remove it to rebuild")
+
+    try:
+        with open(os.path.join(entry, _META), encoding="utf-8") as fh:
+            meta = json.load(fh)
+        with open(os.path.join(entry, _TOKENS), "rb") as fh:
+            tokens = fh.read().decode("utf-8").split("\n")
+        matrix = np.asarray(np.load(os.path.join(entry, _MATRIX), mmap_mode="r"))
+    except (OSError, EOFError, ValueError) as exc:  # bad JSON, UTF-8 or .npy
+        raise corrupted(" ".join(str(exc).split())) from None
+    index = dict(zip(tokens, range(len(tokens))))
+    if not (isinstance(meta, dict) and meta.get("version") == CACHE_VERSION
+            and matrix.dtype == np.float32 and matrix.flags.c_contiguous
+            and matrix.shape == (meta.get("rows"), meta.get("dim"))
+            and len(index) == len(tokens) == matrix.shape[0]
+            and isinstance(meta.get("parsed_lines"), int)):
+        raise corrupted(f"matrix {matrix.dtype} {matrix.shape}, "
+                        f"{len(tokens)} tokens, {len(index)} distinct, "
+                        f"meta {json.dumps(meta)}")
+    return VectorTable(dim=matrix.shape[1], matrix=matrix, index=index,
+                       source_hash=digest, parsed_lines=meta["parsed_lines"])
 
 
 def save_vectors(table: VectorTable, path) -> None:

@@ -27,3 +27,13 @@ def tiny_world():
     freqs = random_frequencies(rng, table)
     config = EncoderConfig(a=0.05, dim=6)
     return table, freqs, config
+
+
+@pytest.fixture(autouse=True)
+def vector_cache(tmp_path_factory, monkeypatch):
+    """Point the vector-table cache at a fresh directory for every test, so
+    the suite and the CLI processes it starts never write to ~/.cache.
+    Returns the cache root that ``lexicon.cache_root()`` resolves to."""
+    base = tmp_path_factory.mktemp("xdg-cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(base))
+    return base / "noppa"

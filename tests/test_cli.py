@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from noppa import (EncoderConfig, Pipeline, denoiser, load_frequencies,
-                   load_vectors)
+from noppa import (EncoderConfig, Pipeline, denoiser, evalkit,
+                   load_frequencies, load_vectors)
 from noppa.cli import main
 
 
@@ -206,6 +206,54 @@ class TestBadFiles:
         _one_line_error(capsys, str(out))
 
 
+class TestVectorCache:
+    def _outputs(self, world):
+        """embed (with and without a noise model) and fit-noise output bytes."""
+        tmp, vec, freq, sent = world
+        noise, plain, removed = (tmp / n for n in ("n.txt", "p.csv", "r.csv"))
+        assert run(["fit-noise", "--vectors", vec, "--freq", freq, "-k", "2",
+                    "--out", str(noise), sent]) == 0
+        assert run(["embed", "--vectors", vec, "--freq", freq,
+                    "--out", str(plain), sent]) == 0
+        assert run(["embed", "--vectors", vec, "--freq", freq, "--noise-model",
+                    str(noise), "--out", str(removed), sent]) == 0
+        return [p.read_bytes() for p in (noise, plain, removed)]
+
+    def _entry(self, vector_cache):
+        entries = list(vector_cache.glob("vectors-v*"))
+        assert len(entries) == 1
+        return entries[0]
+
+    def test_miss_and_hit_outputs_byte_identical(self, world, vector_cache):
+        miss = self._outputs(world)  # the first load parses and writes
+        self._entry(vector_cache)
+        hit = self._outputs(world)  # every later load maps the entry
+        assert miss == hit
+
+    @pytest.mark.parametrize("damage", ["truncated-matrix", "extra-token"])
+    def test_corrupted_entry_exit_1(self, world, vector_cache, capsys, damage):
+        tmp, vec, freq, sent = world
+        assert run(["embed", "--vectors", vec, "--freq", freq, sent]) == 0
+        entry = self._entry(vector_cache)
+        if damage == "truncated-matrix":
+            data = (entry / "matrix.npy").read_bytes()
+            (entry / "matrix.npy").write_bytes(data[:len(data) - 8])
+        else:
+            with open(entry / "tokens.txt", "a", encoding="utf-8") as fh:
+                fh.write("\nextra")
+        capsys.readouterr()
+        assert run(["embed", "--vectors", vec, "--freq", freq, sent]) == 1
+        _one_line_error(capsys, "corrupted vector cache entry", str(entry))
+
+    def test_unwritable_cache_root_same_bytes(self, world, vector_cache,
+                                              monkeypatch):
+        cached = self._outputs(world)
+        blocker = world[0] / "not-a-dir"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        assert self._outputs(world) == cached
+
+
 class TestAnalysisCommands:
     def test_attention_csv(self, world, capsys):
         _, vec, freq, _ = world
@@ -248,6 +296,21 @@ class TestEvalAndBench:
         assert "dev-best config" in out
         assert "±" in out
         assert len(log.read_text().strip().splitlines()) == 1
+
+    def test_unwritable_log_fails_before_embedding(self, world, tmp_path,
+                                                   capsys, monkeypatch):
+        tmp, vec, freq, _ = world
+        ds = tmp_path / "toy.tsv"
+        ds.write_text("".join(f"{i % 2}\tgirl eats cake x{i}\n" for i in range(20)))
+
+        def embed_split(*args, **kwargs):
+            raise AssertionError("embedded before the log was opened")
+
+        monkeypatch.setattr(evalkit, "embed_split", embed_split)
+        log = tmp_path / "missing" / "runs.log"
+        assert run(["eval", "--vectors", vec, "--freq", freq, "--a-grid", "0.05",
+                    "--k-grid", "0", "--log", str(log), str(ds)]) == 1
+        _one_line_error(capsys, str(log))
 
     def test_eval_seed_summary(self, world, tmp_path, capsys):
         tmp, vec, freq, _ = world

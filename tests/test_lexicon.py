@@ -1,10 +1,14 @@
+import logging
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noppa import (FormatError, FrequencyTable, VectorTable, load_frequencies,
-                   load_vectors, save_vectors, tokenize)
+from noppa import (FormatError, FrequencyTable, NoppaError, VectorTable,
+                   lexicon, load_frequencies, load_vectors, save_vectors,
+                   tokenize)
 
 # Tokens in the text formats must not contain whitespace.
 token_strategy = st.text(
@@ -69,6 +73,199 @@ class TestLoadVectors:
         table = load_vectors(p)
         assert table.get("absent") is None
         assert "absent" not in table
+
+
+    def test_word2vec_header(self, tmp_path):
+        p = tmp_path / "vec.txt"
+        write_lines(p, ["", "3 2", "a 1 2", "", "b 3 4", "a 5 6"])
+        table = load_vectors(p)
+        plain = tmp_path / "plain.txt"
+        write_lines(plain, ["a 1 2", "b 3 4", "a 5 6"])
+        assert_same_table(table, load_vectors(plain), same_source=False)
+        assert table.parsed_lines == 3
+
+    def test_word2vec_header_count_mismatch(self, tmp_path):
+        p = tmp_path / "vec.txt"
+        write_lines(p, ["3 2", "a 1 2", "b 3 4"])
+        with pytest.raises(FormatError, match="header at line 1 gives 3 vectors, "
+                                              "the file has 2"):
+            load_vectors(p)
+
+    def test_count_one_line_is_a_vector(self, tmp_path):
+        p = tmp_path / "vec.txt"
+        write_lines(p, ["2 1", "a 5"])
+        table = load_vectors(p)
+        assert table.dim == 1 and table.parsed_lines == 2
+        np.testing.assert_array_equal(table.get("2"), [1])
+
+    def test_two_integers_without_matching_line_are_a_vector(self, tmp_path):
+        p = tmp_path / "vec.txt"
+        write_lines(p, ["2 3", "a 1 2"])
+        with pytest.raises(FormatError, match="dim mismatch at line 2 "
+                                              r"\(expected 1, got 2\)"):
+            load_vectors(p)
+
+
+def assert_same_table(a, b, same_source=True):
+    """Bitwise equality of everything ``load_vectors`` returns."""
+    assert a.dim == b.dim
+    assert a.matrix.dtype == b.matrix.dtype == np.float32
+    assert a.matrix.shape == b.matrix.shape
+    assert a.matrix.view(np.uint32).tobytes() == b.matrix.view(np.uint32).tobytes()
+    assert list(a.index.items()) == list(b.index.items())
+    assert a.parsed_lines == b.parsed_lines
+    if same_source:
+        assert a.source_hash == b.source_hash
+
+
+class TestVectorCache:
+    @pytest.mark.parametrize("lines,expected_dim", [
+        (["alpha 0.1 -2.5e-3 3", "beta 1 2 3"], None),
+        (["", "tok 1 2 3", "  ", "tok 4 5 6", "other -0 1e-30 7", ""], 3),
+        (["2 3", "a 1 2 3", "b 4 5 6"], None),
+    ], ids=["plain", "duplicates-blanks-expected-dim", "word2vec-header"])
+    def test_hit_bitwise_equal_to_miss(self, tmp_path, vector_cache, lines,
+                                       expected_dim):
+        p = tmp_path / "vec.txt"
+        write_lines(p, lines)
+        reference = lexicon._parse_vectors(p, expected_dim)
+        miss = load_vectors(p, expected_dim=expected_dim)
+        entry = lexicon._entry_path(miss.source_hash)
+        assert os.path.isdir(entry)
+        hit = load_vectors(p, expected_dim=expected_dim)
+        assert_same_table(miss, reference)
+        assert_same_table(hit, reference)
+        assert type(hit.matrix) is np.ndarray  # a view, not an np.memmap
+        assert not hit.matrix.flags.writeable
+
+    def test_expected_dim_differing_from_entry_gives_text_error(self, tmp_path):
+        p = tmp_path / "vec.txt"
+        write_lines(p, ["tok 1 2 3"])
+        load_vectors(p)
+        with pytest.raises(FormatError, match="dim mismatch at line 1"):
+            load_vectors(p, expected_dim=4)
+
+    @pytest.mark.parametrize("part,damage", [
+        ("matrix.npy", lambda b: b[:-4]),
+        ("matrix.npy", lambda b: b""),
+        ("tokens.txt", lambda b: b + b"\nextra"),
+        ("tokens.txt", lambda b: b.replace(b"beta", b"alpha")),
+        ("meta.json", lambda b: b.replace(b'"dim": 3', b'"dim": 4')),
+        ("meta.json", lambda b: b"{"),
+    ])
+    def test_corrupted_entry_is_one_line_format_error(self, tmp_path, part,
+                                                      damage):
+        p = tmp_path / "vec.txt"
+        write_lines(p, ["alpha 1 2 3", "beta 4 5 6"])
+        entry = lexicon._entry_path(load_vectors(p).source_hash)
+        target = os.path.join(entry, part)
+        with open(target, "rb") as fh:
+            data = fh.read()
+        with open(target, "wb") as fh:
+            fh.write(damage(data))
+        with pytest.raises(FormatError) as exc:
+            load_vectors(p)
+        assert str(exc.value).startswith(f"corrupted vector cache entry {entry} ")
+        assert "\n" not in str(exc.value)
+
+    def test_unwritable_cache_root_returns_parsed_table(self, tmp_path,
+                                                        monkeypatch, caplog):
+        p = tmp_path / "vec.txt"
+        write_lines(p, ["alpha 1 2 3", "beta 4 5 6"])
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        with caplog.at_level(logging.INFO, logger="noppa.lexicon"):
+            table = load_vectors(p)
+        assert_same_table(table, lexicon._parse_vectors(p, None))
+        assert "miss, skipped writing" in caplog.text
+        assert not any(r.levelno >= logging.WARNING for r in caplog.records)
+
+    def test_edited_file_gets_a_new_entry(self, tmp_path, vector_cache):
+        p = tmp_path / "vec.txt"
+        write_lines(p, ["alpha 1 2 3"])
+        first = load_vectors(p)
+        write_lines(p, ["alpha 1 2 4"])
+        second = load_vectors(p)
+        assert first.source_hash != second.source_hash
+        np.testing.assert_array_equal(second.get("alpha"), [1, 2, 4])
+        assert len(list(vector_cache.glob("vectors-v*"))) == 2
+
+    def test_parse_failure_is_not_cached(self, tmp_path, vector_cache):
+        p = tmp_path / "vec.txt"
+        write_lines(p, ["alpha 1 2 3", "beta 4 5"])
+        for _ in range(2):
+            with pytest.raises(FormatError, match="dim mismatch at line 2"):
+                load_vectors(p)
+        assert not vector_cache.exists() or not list(vector_cache.iterdir())
+
+    def test_concurrent_writer_entry_is_kept(self, tmp_path, vector_cache):
+        p = tmp_path / "vec.txt"
+        write_lines(p, ["alpha 1 2 3"])
+        table = load_vectors(p)
+        entry = lexicon._entry_path(table.source_hash)
+        before = {n: os.stat(os.path.join(entry, n)).st_ino for n in os.listdir(entry)}
+        lexicon._write_entry(entry, table)  # loses the race to publish
+        after = {n: os.stat(os.path.join(entry, n)).st_ino for n in os.listdir(entry)}
+        assert before == after
+        assert os.listdir(vector_cache) == [os.path.basename(entry)]
+
+    def test_one_info_line_per_load(self, tmp_path, caplog):
+        p = tmp_path / "vec.txt"
+        write_lines(p, ["alpha 1 2 3"])
+        with caplog.at_level(logging.INFO, logger="noppa.lexicon"):
+            load_vectors(p)
+            load_vectors(p)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("vector cache")]
+        entry = lexicon._entry_path(load_vectors(p).source_hash)
+        assert len(lines) == 2
+        assert lines[0].startswith(f"vector cache miss, wrote {entry} (")
+        assert lines[1].startswith(f"vector cache hit: {entry} (")
+
+
+@st.composite
+def vector_files(draw):
+    """Bytes of a vector file: well-formed rows of one dim, an optional
+    word2vec header whose count may be off, and stray lines that may break
+    the format (blank, short, non-numeric, non-finite, non-UTF-8)."""
+    dim = draw(st.integers(1, 4))
+    component = st.one_of(
+        st.floats(width=32, allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-9, 9).map(str))
+    rows = draw(st.lists(st.tuples(token_strategy,
+                                   st.lists(component, min_size=dim, max_size=dim)),
+                         min_size=0, max_size=6))
+    lines = [" ".join([t, *vals]).encode("utf-8") for t, vals in rows]
+    stray = st.one_of(
+        st.just(b""), st.just(b"   "), st.just(b"tok"), st.just(b"tok 1e40"),
+        st.just(b"tok nan"), st.just(b"tok x"), st.just(b"\xff 1"),
+        st.integers(0, 9).map(lambda n: f"{n} {dim}".encode()),
+        st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
+                max_size=12).map(lambda t: t.encode("utf-8")))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(stray))
+    if draw(st.booleans()):
+        count = len(rows) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+        lines.insert(0, f"{count} {dim}".encode())
+    return b"\n".join(lines) + draw(st.sampled_from([b"", b"\n", b"\r\n"]))
+
+
+class TestVectorFileFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(content=vector_files())
+    def test_loads_or_raises_and_cache_is_bitwise_equal(self, content,
+                                                        tmp_path_factory):
+        p = tmp_path_factory.mktemp("fuzz") / "vec.txt"
+        p.write_bytes(content)
+        try:
+            first = load_vectors(p)
+        except NoppaError:
+            with pytest.raises(NoppaError):
+                load_vectors(p)  # a file that fails to parse is never cached
+            return
+        assert os.path.isdir(lexicon._entry_path(first.source_hash))
+        assert_same_table(load_vectors(p), first)
 
 
 class TestVectorRoundTrip:
