@@ -266,12 +266,26 @@ def embed_split(sentences, spec: EmbedderSpec, vectors: VectorTable,
 # Classifier
 
 
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive slices of ``flat`` reshaped to ``shapes`` (views, not copies)."""
+    views, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
 class MLPClassifier:
     """One hidden layer of 50 rectified units trained with Adam.
 
     Softmax cross-entropy loss, batch size 64, dropout 0.0, early stopping
     on dev accuracy with patience 5 epochs, at most 50 epochs.  Weight
     initialization and shuffling come from a single seed.
+
+    ``w1``, ``b1``, ``w2`` and ``b2`` are reshaped views of one float64
+    vector ``theta``; the gradient and Adam's moments are vectors of the
+    same layout, so one elementwise Adam pass updates every parameter.
     """
 
     HIDDEN = 50
@@ -283,81 +297,102 @@ class MLPClassifier:
     def __init__(self, input_dim: int, label_count: int, seed: int):
         rng = np.random.default_rng(seed)
         self.rng = rng
-        self.w1 = rng.normal(0.0, np.sqrt(2.0 / input_dim), (input_dim, self.HIDDEN))
-        self.b1 = np.zeros(self.HIDDEN)
-        self.w2 = rng.normal(0.0, np.sqrt(1.0 / self.HIDDEN), (self.HIDDEN, label_count))
-        self.b2 = np.zeros(label_count)
-        self._adam_state = [
-            [np.zeros_like(p), np.zeros_like(p)]
-            for p in (self.w1, self.b1, self.w2, self.b2)
-        ]
+        shapes = ((input_dim, self.HIDDEN), (self.HIDDEN,),
+                  (self.HIDDEN, label_count), (label_count,))
+        self.theta = np.zeros(sum(int(np.prod(s)) for s in shapes))
+        self._grad = np.zeros_like(self.theta)
+        self.w1, self.b1, self.w2, self.b2 = _views(self.theta, shapes)
+        self._g_w1, self._g_b1, self._g_w2, self._g_b2 = _views(self._grad, shapes)
+        self.w1[...] = rng.normal(0.0, np.sqrt(2.0 / input_dim), shapes[0])
+        self.w2[...] = rng.normal(0.0, np.sqrt(1.0 / self.HIDDEN), shapes[2])
+        self._adam_m = np.zeros_like(self.theta)
+        self._adam_v = np.zeros_like(self.theta)
+        self._adam_tmp = np.empty_like(self.theta)
+        self._adam_step_size = np.empty_like(self.theta)
         self._adam_t = 0
 
-    def _params(self):
-        return [self.w1, self.b1, self.w2, self.b2]
-
     def _forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        hidden = np.maximum(x @ self.w1 + self.b1, 0.0)
-        logits = hidden @ self.w2 + self.b2
-        logits = logits - logits.max(axis=1, keepdims=True)
+        hidden = x @ self.w1
+        hidden += self.b1
+        np.maximum(hidden, 0.0, out=hidden)
+        logits = hidden @ self.w2
+        logits += self.b2
+        logits -= logits.max(axis=1, keepdims=True)
         np.exp(logits, out=logits)
         logits /= logits.sum(axis=1, keepdims=True)
         return hidden, logits
 
-    def _adam_step(self, grads):
+    def _adam_step(self):
+        """One Adam update of ``theta`` from the gradient in ``_grad``.
+
+        Each operation is elementwise in the same order as the textbook
+        per-tensor form, so the result is the same to the bit."""
         self._adam_t += 1
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         t = self._adam_t
-        for p, g, (m, v) in zip(self._params(), grads, self._adam_state):
-            m *= beta1
-            m += (1 - beta1) * g
-            v *= beta2
-            v += (1 - beta2) * np.square(g)
-            m_hat = m / (1 - beta1 ** t)
-            v_hat = v / (1 - beta2 ** t)
-            p -= self.LR * m_hat / (np.sqrt(v_hat) + eps)
+        g, m, v = self._grad, self._adam_m, self._adam_v
+        tmp, step = self._adam_tmp, self._adam_step_size
+        m *= beta1
+        np.multiply(g, 1 - beta1, out=tmp)
+        m += tmp
+        v *= beta2
+        np.square(g, out=tmp)
+        tmp *= 1 - beta2
+        v += tmp
+        np.divide(m, 1 - beta1 ** t, out=step)  # m_hat
+        np.divide(v, 1 - beta2 ** t, out=tmp)  # v_hat
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        step *= self.LR
+        step /= tmp
+        self.theta -= step
 
     def fit(self, train_x: np.ndarray, train_y: np.ndarray,
             dev_x: np.ndarray | None = None, dev_y: np.ndarray | None = None) -> float:
         """Train; returns the best dev accuracy (train accuracy when no dev)."""
         n = train_x.shape[0]
         best_acc = -1.0
-        best_params = None
+        best_theta = None
         stale = 0
+        rows = np.arange(self.BATCH)
         for epoch in range(self.MAX_EPOCHS):
             order = self.rng.permutation(n)
             for start in range(0, n, self.BATCH):
                 idx = order[start:start + self.BATCH]
                 x, y = train_x[idx], train_y[idx]
                 hidden, probs = self._forward(x)
-                loss = -np.mean(np.log(probs[np.arange(len(y)), y] + 1e-12))
-                if not np.isfinite(loss):
+                batch_rows = rows[:len(y)]
+                # Softmax outputs lie in [0, 1], so log(p + 1e-12) is finite
+                # exactly when p is; the loss is computed only to report it.
+                picked = probs[batch_rows, y]
+                if not np.isfinite(picked).all():
+                    loss = -np.mean(np.log(picked + 1e-12))
                     raise NoppaError(
                         f"non-finite loss at epoch {epoch}, batch {start // self.BATCH}: "
                         f"loss={loss}, |w1|max={np.abs(self.w1).max():.3e}")
                 delta = probs
-                delta[np.arange(len(y)), y] -= 1.0
+                delta[batch_rows, y] -= 1.0
                 delta /= len(y)
-                grad_w2 = hidden.T @ delta
-                grad_b2 = delta.sum(axis=0)
+                np.matmul(hidden.T, delta, out=self._g_w2)
+                np.add.reduce(delta, axis=0, out=self._g_b2)
                 back = delta @ self.w2.T
                 back[hidden <= 0.0] = 0.0
-                grad_w1 = x.T @ back
-                grad_b1 = back.sum(axis=0)
-                self._adam_step([grad_w1, grad_b1, grad_w2, grad_b2])
+                np.matmul(x.T, back, out=self._g_w1)
+                np.add.reduce(back, axis=0, out=self._g_b1)
+                self._adam_step()
             eval_x = dev_x if dev_x is not None and len(dev_x) else train_x
             eval_y = dev_y if dev_x is not None and len(dev_x) else train_y
             acc = self.score(eval_x, eval_y)
             if acc > best_acc:
                 best_acc = acc
-                best_params = [p.copy() for p in self._params()]
+                best_theta = self.theta.copy()
                 stale = 0
             else:
                 stale += 1
                 if stale >= self.PATIENCE:
                     break
-        if best_params is not None:
-            self.w1, self.b1, self.w2, self.b2 = best_params
+        if best_theta is not None:
+            self.theta[:] = best_theta
         return best_acc
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -598,15 +633,18 @@ def bench_throughput(sentences, vectors: VectorTable, frequencies: FrequencyTabl
 
     denoise_reps = max(repetitions, 10)  # short op; extra reps stabilize the mean
 
-    def denoise_passes(rows, model, inner=1) -> TimingStat:
-        """Mean time of one remove_matrix pass, over ``inner`` passes per rep."""
-        times = []
+    def denoise_passes(batches, model, inner=1) -> list[TimingStat]:
+        """Mean time of one remove_matrix pass per batch, over ``inner``
+        passes per rep.  The batches take turns rep by rep, so a slow spell
+        of the host hits each of them alike."""
+        times = [[] for _ in batches]
         for _ in range(denoise_reps):
-            t0 = time.perf_counter()
-            for _ in range(inner):
-                denoiser.remove_matrix(rows, model)
-            times.append((time.perf_counter() - t0) / inner)
-        return TimingStat(times)
+            for rows, batch_times in zip(batches, times):
+                t0 = time.perf_counter()
+                for _ in range(inner):
+                    denoiser.remove_matrix(rows, model)
+                batch_times.append((time.perf_counter() - t0) / inner)
+        return [TimingStat(t) for t in times]
 
     token_lists = [t for t in (tokenize(s, vectors) for s in sentences) if len(t)]
     encode_stat, embeddings = encode_passes(token_lists)
@@ -615,7 +653,7 @@ def bench_throughput(sentences, vectors: VectorTable, frequencies: FrequencyTabl
     if model is None and embeddings.size:
         model = denoiser.fit(embeddings, min(config.k, min(embeddings.shape)))
     if model is not None and embeddings.size:
-        denoise_stat = denoise_passes(embeddings, model)
+        denoise_stat, = denoise_passes([embeddings], model)
     else:
         denoise_stat = TimingStat([0.0] * denoise_reps)
 
@@ -629,10 +667,11 @@ def bench_throughput(sentences, vectors: VectorTable, frequencies: FrequencyTabl
         k_probe = max(config.k, 1)
         probe_model = denoiser.fit(emb_short, min(k_probe, min(emb_short.shape)))
         # A single pass is ~ms; 25 per repetition give a stable reading.
+        denoise_short, denoise_long = denoise_passes([emb_short, emb_long],
+                                                     probe_model, 25)
         scaling = ScalingProbe(n=scaling_n, count=scaling_count,
                                encode_short=encode_short, encode_long=encode_long,
-                               denoise_short=denoise_passes(emb_short, probe_model, 25),
-                               denoise_long=denoise_passes(emb_long, probe_model, 25))
+                               denoise_short=denoise_short, denoise_long=denoise_long)
 
     return BenchReport(sentence_count=len(token_lists),
                        encode=encode_stat,

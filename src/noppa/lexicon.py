@@ -217,7 +217,9 @@ def _parse_vectors(path, expected_dim: int | None) -> VectorTable:
     rows: list[np.ndarray] = []
     dim: int | None = expected_dim
     parsed = 0
-    with open(path, "rb") as fh:
+    # A component beyond float32 range casts to inf, which the isfinite check
+    # below reports as one error line; numpy's overflow warning would add two.
+    with open(path, "rb") as fh, np.errstate(over="ignore"):
         lines = _vector_lines(fh, sha, path)
         head = list(itertools.islice(lines, 2))
         header = head.pop(0) if _is_header(head) else None

@@ -1,11 +1,16 @@
-"""Straight-line scalar reference implementations.
+"""Straight-line reference implementations.
 
-Everything here is written with plain Python floats and ``math`` only, as
-an independent check on the vectorized engine.  Keep this module free of
-numpy and of any imports from the package under test.
+The encoder references are written with plain Python floats and ``math``
+only, as an independent check on the vectorized engine; keep them free of
+numpy.  ``MLPClassifier`` at the end is a per-tensor numpy trainer (one
+array and one Adam update per parameter), the bitwise reference for the
+flat-vector trainer in ``noppa.evalkit``.  Keep this module free of any
+imports from the package under test.
 """
 
 import math
+
+import numpy as np
 
 
 def position_embedding(i, dim):
@@ -83,3 +88,116 @@ def remove_projection(vector, rows):
         for c in range(len(vector)):
             out[c] -= coeff * row[c]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Classifier: one array per parameter, one Adam update per array.
+
+
+class MLPClassifier:
+    """One hidden layer of 50 rectified units trained with Adam.
+
+    Softmax cross-entropy loss, batch size 64, dropout 0.0, early stopping
+    on dev accuracy with patience 5 epochs, at most 50 epochs.  Weight
+    initialization and shuffling come from a single seed.
+    """
+
+    HIDDEN = 50
+    BATCH = 64
+    MAX_EPOCHS = 50
+    PATIENCE = 5
+    LR = 1e-3
+
+    def __init__(self, input_dim: int, label_count: int, seed: int):
+        rng = np.random.default_rng(seed)
+        self.rng = rng
+        self.w1 = rng.normal(0.0, np.sqrt(2.0 / input_dim), (input_dim, self.HIDDEN))
+        self.b1 = np.zeros(self.HIDDEN)
+        self.w2 = rng.normal(0.0, np.sqrt(1.0 / self.HIDDEN), (self.HIDDEN, label_count))
+        self.b2 = np.zeros(label_count)
+        self._adam_state = [
+            [np.zeros_like(p), np.zeros_like(p)]
+            for p in (self.w1, self.b1, self.w2, self.b2)
+        ]
+        self._adam_t = 0
+
+    def _params(self):
+        return [self.w1, self.b1, self.w2, self.b2]
+
+    def _forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        hidden = np.maximum(x @ self.w1 + self.b1, 0.0)
+        logits = hidden @ self.w2 + self.b2
+        logits = logits - logits.max(axis=1, keepdims=True)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=1, keepdims=True)
+        return hidden, logits
+
+    def _adam_step(self, grads):
+        self._adam_t += 1
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        t = self._adam_t
+        for p, g, (m, v) in zip(self._params(), grads, self._adam_state):
+            m *= beta1
+            m += (1 - beta1) * g
+            v *= beta2
+            v += (1 - beta2) * np.square(g)
+            m_hat = m / (1 - beta1 ** t)
+            v_hat = v / (1 - beta2 ** t)
+            p -= self.LR * m_hat / (np.sqrt(v_hat) + eps)
+
+    def fit(self, train_x: np.ndarray, train_y: np.ndarray,
+            dev_x: np.ndarray | None = None, dev_y: np.ndarray | None = None) -> float:
+        """Train; returns the best dev accuracy (train accuracy when no dev)."""
+        n = train_x.shape[0]
+        best_acc = -1.0
+        best_params = None
+        stale = 0
+        for epoch in range(self.MAX_EPOCHS):
+            order = self.rng.permutation(n)
+            for start in range(0, n, self.BATCH):
+                idx = order[start:start + self.BATCH]
+                x, y = train_x[idx], train_y[idx]
+                hidden, probs = self._forward(x)
+                loss = -np.mean(np.log(probs[np.arange(len(y)), y] + 1e-12))
+                if not np.isfinite(loss):
+                    raise FloatingPointError(
+                        f"non-finite loss at epoch {epoch}, batch {start // self.BATCH}: "
+                        f"loss={loss}, |w1|max={np.abs(self.w1).max():.3e}")
+                delta = probs
+                delta[np.arange(len(y)), y] -= 1.0
+                delta /= len(y)
+                grad_w2 = hidden.T @ delta
+                grad_b2 = delta.sum(axis=0)
+                back = delta @ self.w2.T
+                back[hidden <= 0.0] = 0.0
+                grad_w1 = x.T @ back
+                grad_b1 = back.sum(axis=0)
+                self._adam_step([grad_w1, grad_b1, grad_w2, grad_b2])
+            eval_x = dev_x if dev_x is not None and len(dev_x) else train_x
+            eval_y = dev_y if dev_x is not None and len(dev_x) else train_y
+            acc = self.score(eval_x, eval_y)
+            if acc > best_acc:
+                best_acc = acc
+                best_params = [p.copy() for p in self._params()]
+                stale = 0
+            else:
+                stale += 1
+                if stale >= self.PATIENCE:
+                    break
+        if best_params is not None:
+            self.w1, self.b1, self.w2, self.b2 = best_params
+        return best_acc
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return self._forward(x)[1].argmax(axis=1)
+
+    def score(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Accuracy in percent."""
+        return float(np.mean(self.predict(x) == y) * 100.0)
+
+
+def train_classifier(train_x, train_y, dev_x, dev_y, label_count, seed):
+    """Fit the reference classifier; returns (classifier, best dev accuracy %)."""
+    clf = MLPClassifier(train_x.shape[1], label_count, seed)
+    best_dev = clf.fit(train_x, train_y, dev_x, dev_y)
+    return clf, best_dev

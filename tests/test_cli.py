@@ -1,8 +1,12 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import noppa
 from noppa import (EncoderConfig, Pipeline, denoiser, evalkit,
                    load_frequencies, load_vectors)
 from noppa.cli import main
@@ -204,6 +208,23 @@ class TestBadFiles:
         assert run([sub, "--vectors", vec, "--freq", freq, "-k", "1",
                     "--out", str(out), sent]) == 1
         _one_line_error(capsys, str(out))
+
+    def test_float32_overflow_is_one_line(self, world):
+        # numpy warns on stderr when a component overflows float32; run a
+        # real process so that nothing captures the warning before stderr
+        tmp, _, freq, sent = world
+        vec = tmp / "overflow.txt"
+        vec.write_text("a 1 2\nb 1e40 2\n")
+        src = os.path.dirname(os.path.dirname(noppa.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "noppa.cli", "embed", "--vectors", str(vec),
+             "--freq", freq, sent],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"error: {vec}: non-finite vector at line 2"], proc.stderr
 
 
 class TestVectorCache:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -273,8 +275,50 @@ class TestClassifier:
         y = np.zeros(64, dtype=int)
         clf = MLPClassifier(4, 2, seed=0)
         clf.w1[0, 0] = np.nan  # corrupted state must be caught, not trained on
-        with pytest.raises(NoppaError, match="non-finite loss"):
+        with pytest.raises(NoppaError) as info:
             clf.fit(x, y, x, y)
+        assert re.fullmatch(r"non-finite loss at epoch 0, batch 0: loss=nan, "
+                            r"\|w1\|max=nan", str(info.value)), str(info.value)
+
+
+def _oracle_case(seed, n, d, classes, dev=0, shift=1.5):
+    """Gaussian classes ``shift`` apart on their first coordinate."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, classes, n + dev)
+    x = rng.standard_normal((n + dev, d))
+    x[:, 0] += shift * y
+    return x[:n], y[:n], x[n:], y[n:]
+
+
+def _bits(clf):
+    return [getattr(clf, name).view(np.uint64) for name in ("w1", "b1", "w2", "b2")]
+
+
+class TestClassifierOracle:
+    """The flat-vector trainer against the per-tensor reference in
+    ``oracles.py``: every weight bit, the best dev accuracy and the test
+    score must be equal."""
+
+    @pytest.mark.parametrize("n, d, classes, dev, shift", [
+        (500, 12, 2, 120, 1.5),   # last batch of 52
+        (40, 5, 2, 20, 1.5),      # one short batch per epoch
+        (128, 7, 3, 60, 1.5),     # two full batches, three classes
+        (500, 9, 3, 100, 0.0),    # labels are noise: stops early
+        (128, 6, 2, 0, 1.5),      # empty dev split: train accuracy selects
+    ])
+    def test_bitwise_equal_to_per_tensor_trainer(self, n, d, classes, dev, shift):
+        train_x, train_y, dev_x, dev_y = _oracle_case(n + d, n, d, classes, dev, shift)
+        test_x, test_y, _, _ = _oracle_case(7, 200, d, classes, 0, shift)
+        got, got_dev = train_classifier(train_x, train_y, dev_x, dev_y, classes, seed=11)
+        want, want_dev = oracles.train_classifier(train_x, train_y, dev_x, dev_y,
+                                                  classes, seed=11)
+        assert got_dev == want_dev
+        for got_bits, want_bits in zip(_bits(got), _bits(want)):
+            np.testing.assert_array_equal(got_bits, want_bits)
+        assert got.score(test_x, test_y) == want.score(test_x, test_y)
+        assert got._adam_t == want._adam_t
+        if shift == 0.0:
+            assert got._adam_t < MLPClassifier.MAX_EPOCHS * -(-n // MLPClassifier.BATCH)
 
 
 def toy_grid_dataset():
