@@ -7,7 +7,7 @@ a smooth frequency weight averages the per-word vectors.  A separately
 fitted SVD noise model removes the weakest singular directions.
 """
 
-from . import analysis, denoiser, evalkit, synth
+from . import denoiser
 from .encoder import (EncoderConfig, SentenceEmbedding, attention,
                       contextual_embeddings, encode, log_kernel, pos_embed, sfw)
 from .errors import (EmptySentenceError, FormatError, InfeasibleConfigError,
@@ -27,3 +27,15 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# Submodules that the embedding path does not use load on first access
+# (``noppa.evalkit`` or ``from noppa import evalkit``), not with the package.
+_LAZY_SUBMODULES = frozenset({"analysis", "evalkit", "synth"})
+
+
+def __getattr__(name):
+    if name in _LAZY_SUBMODULES:
+        import importlib
+
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

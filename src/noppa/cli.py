@@ -14,10 +14,11 @@ import logging
 import os
 import sys
 
-from . import analysis, denoiser, evalkit
-from .encoder import EncoderConfig
+# evalkit and analysis are imported by the subcommands that run them, so
+# that embed and fit-noise start without them.
+from . import denoiser
+from .encoder import VARIANTS, EncoderConfig, check_ranges
 from .errors import InfeasibleConfigError, NoppaError
-from .evalkit import VARIANTS
 from .lexicon import load_frequencies, load_vectors, read_lines
 from .pipeline import Pipeline
 
@@ -79,7 +80,7 @@ def _open_input(path: str, directory_ok: bool = False) -> str:
 
 def _build_pipeline(args) -> Pipeline:
     if not args.unsafe_ranges:
-        evalkit.check_ranges([args.a], [args.k])
+        check_ranges([args.a], [args.k])
     vectors = load_vectors(_open_input(args.vectors))
     frequencies = load_frequencies(_open_input(args.freq))
     noise = None
@@ -131,12 +132,16 @@ def cmd_fit_noise(args) -> int:
 
 
 def cmd_attention(args) -> int:
+    from . import analysis
+
     pipe = _build_pipeline(args)
     _write_out(args, analysis.attention_report(args.sentence, pipe))
     return EXIT_OK
 
 
 def cmd_contrib(args) -> int:
+    from . import analysis
+
     pipe = _build_pipeline(args)
     report = analysis.contribution_report(args.sentence, pipe,
                                           denoised=not args.pre_denoise)
@@ -152,6 +157,8 @@ def _parse_grid(text: str, cast):
 
 
 def cmd_weight_curve(args) -> int:
+    from . import analysis
+
     frequencies = load_frequencies(_open_input(args.freq))
     groups = {}
     for spec in args.group:
@@ -166,6 +173,8 @@ def cmd_weight_curve(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import evalkit
+
     vectors = load_vectors(_open_input(args.vectors))
     frequencies = load_frequencies(_open_input(args.freq))
     dataset = evalkit.load_dataset(args.name,
@@ -192,6 +201,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import evalkit
+
     vectors = load_vectors(_open_input(args.vectors))
     frequencies = load_frequencies(_open_input(args.freq))
     config = EncoderConfig(a=args.a, dim=vectors.dim,

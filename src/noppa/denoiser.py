@@ -9,6 +9,7 @@ decomposition; that is a deliberate literal reading of the fitting recipe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,8 +110,30 @@ def save(model: NoiseModel, path) -> None:
         fh.write(" ".join(f"{v:.17g}" for v in model.singular_values) + "\n")
 
 
+def _reals(path, lineno: int, fields: list[str]) -> list[float]:
+    """``fields`` as floats; the first that is not a finite real raises a
+    FormatError naming the file and line."""
+    values = []
+    for field in fields:
+        try:
+            value = float(field)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise FormatError(f"{path}: not a finite real at line {lineno}: {field!r}")
+        values.append(value)
+    return values
+
+
+# Largest |V V^T - I| entry accepted from a file.  A fitted model's rows are
+# orthonormal to about dim * eps, and ``save`` round-trips them exactly.
+_ORTHONORMAL_TOL = 1e-9
+
+
 def load(path) -> NoiseModel:
-    """Read a model written by ``save``; validates header and row shapes."""
+    """Read a model written by ``save``; validates the header, the row
+    shapes, that every value is a finite real and that the rows are
+    orthonormal."""
     lines = [line for _, line in read_lines(path)]
     if not lines:
         raise FormatError(f"{path}: empty noise-model file")
@@ -130,15 +153,21 @@ def load(path) -> NoiseModel:
     if len(body) != k + 1:
         raise FormatError(f"{path}: row-count mismatch: expected {k} rows "
                           f"plus singular values, found {len(body)} lines")
-    rows = np.zeros((k, dim), dtype=np.float64)
+    rows = []
     for i in range(k):
         values = body[i].split()
         if len(values) != dim:
             raise FormatError(f"{path}: row {i} has {len(values)} values, expected {dim}")
-        rows[i] = [float(v) for v in values]
+        rows.append(_reals(path, i + 2, values))
     svals = body[k].split()
     if len(svals) != k:
         raise FormatError(f"{path}: expected {k} singular values, found {len(svals)}")
-    rows.setflags(write=False)
-    return NoiseModel(vk=rows, dim=dim,
-                      singular_values=np.array([float(v) for v in svals]))
+    singular_values = np.array(_reals(path, k + 2, svals))
+    vk = np.array(rows, dtype=np.float64).reshape(k, dim)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge rows: inf, nan
+        error = np.abs(vk @ vk.T - np.eye(k)).max(initial=0.0)
+    if not error <= _ORTHONORMAL_TOL:
+        raise FormatError(f"{path}: noise directions are not orthonormal "
+                          f"(max |V V^T - I| = {error:.3g})")
+    vk.setflags(write=False)
+    return NoiseModel(vk=vk, dim=dim, singular_values=singular_values)

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptySentenceError, NoppaError
+from .errors import EmptySentenceError, InfeasibleConfigError, NoppaError
 from .lexicon import FrequencyTable, TokenSequence, VectorTable
 
 
@@ -37,6 +37,29 @@ class EncoderConfig:
             raise NoppaError(f"dim must be >= 1, got {self.dim}")
         if self.k < 0:
             raise NoppaError(f"k must be >= 0, got {self.k}")
+
+
+# The documented ranges of a and k; the CLI refuses values outside them
+# unless --unsafe-ranges is given.
+A_RANGE = (0.01, 0.15)
+K_RANGE = (0, 24)
+
+# The embedders ``eval --variant`` compares (``evalkit.EmbedderSpec``).
+VARIANTS = ("noppa", "ce_avg", "ce_avg_nr", "ce_sfw", "glove_avg", "freq_weighted_avg")
+
+
+def check_ranges(a_grid, k_grid):
+    """Reject a and k values outside A_RANGE and K_RANGE."""
+    for a in a_grid:
+        if not (A_RANGE[0] <= a <= A_RANGE[1]):
+            raise InfeasibleConfigError(
+                f"a={a:g} outside documented range [{A_RANGE[0]}, {A_RANGE[1]}] "
+                f"(use --unsafe-ranges to override)")
+    for k in k_grid:
+        if not (K_RANGE[0] <= k <= K_RANGE[1]):
+            raise InfeasibleConfigError(
+                f"k={k} outside documented range [{K_RANGE[0]}, {K_RANGE[1]}] "
+                f"(use --unsafe-ranges to override)")
 
 
 @dataclass(frozen=True)

@@ -20,16 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import denoiser
-from .encoder import EncoderConfig, contextual_embeddings, pool, sfw
-from .errors import FormatError, InfeasibleConfigError, NoppaError
+from .encoder import (VARIANTS, EncoderConfig, check_ranges,
+                      contextual_embeddings, pool, sfw)
+from .errors import FormatError, NoppaError
 from .lexicon import FrequencyTable, TokenSequence, VectorTable, read_lines, tokenize
 
 logger = logging.getLogger(__name__)
 
-A_RANGE = (0.01, 0.15)
-K_RANGE = (0, 24)
-
-VARIANTS = ("noppa", "ce_avg", "ce_avg_nr", "ce_sfw", "glove_avg", "freq_weighted_avg")
 # Variants whose weights are forced to the constant 1.
 _UNIFORM_VARIANTS = frozenset({"ce_avg", "ce_avg_nr", "glove_avg"})
 # Variants that average raw word vectors (dimension d, no contextual block).
@@ -424,20 +421,6 @@ class GridSearchResult:
     best_k: int
     test_mean: float  # over seeds at (best_a, best_k)
     test_std: float
-
-
-def check_ranges(a_grid, k_grid):
-    """Reject a and k values outside A_RANGE and K_RANGE."""
-    for a in a_grid:
-        if not (A_RANGE[0] <= a <= A_RANGE[1]):
-            raise InfeasibleConfigError(
-                f"a={a:g} outside documented range [{A_RANGE[0]}, {A_RANGE[1]}] "
-                f"(use --unsafe-ranges to override)")
-    for k in k_grid:
-        if not (K_RANGE[0] <= k <= K_RANGE[1]):
-            raise InfeasibleConfigError(
-                f"k={k} outside documented range [{K_RANGE[0]}, {K_RANGE[1]}] "
-                f"(use --unsafe-ranges to override)")
 
 
 def evaluate_runs(dataset: LabeledDataset, vectors: VectorTable,

@@ -4,17 +4,21 @@ Tables are read from plain-text files and are immutable afterwards.  The
 vector table, the one large input, is parsed once per distinct file: the
 parsed matrix and tokens are kept in a content-addressed cache entry under
 ``cache_root()`` and memory-mapped by every later load of the same bytes.
+Finding that entry takes the file's sha256, unless a stamp vouches for the
+file: a load that hashed a file that had not changed for a few seconds
+records its device and inode, size, mtime, ctime and sha256, and a later
+load whose ``os.stat`` of the file matches all of them maps the entry
+without opening the file.
 """
 
 from __future__ import annotations
 
-import hashlib
+import contextlib
 import itertools
 import json
 import logging
 import os
-import shutil
-import tempfile
+import stat
 import time
 from dataclasses import dataclass, field
 
@@ -156,17 +160,22 @@ def load_vectors(path, expected_dim: int | None = None) -> VectorTable:
 
     The parsed table is kept in a cache entry keyed by the file's sha256
     (``cache_root()``); a later load of the same bytes maps that entry in
-    place of parsing the text, with the same result bit for bit.
+    place of parsing the text, with the same result bit for bit.  The
+    sha256 comes from the file's stamp when ``_stamped_digest`` trusts it,
+    else from hashing the file.
     """
     start = time.perf_counter()
-    with open(path, "rb") as fh:
-        digest = hashlib.file_digest(fh, "sha256").hexdigest()
+    digest = _stamped_digest(path)
+    if digest is not None and os.path.isdir(_entry_path(digest)):
+        how = "stamp"
+    else:
+        digest, how = _hash_file(path), "hashed"
     entry = _entry_path(digest)
     if os.path.isdir(entry):
         table = _read_entry(entry, digest)
         if expected_dim in (None, table.dim):
-            logger.info("vector cache hit: %s (%.3f s)", entry,
-                        time.perf_counter() - start)
+            logger.info("vector cache hit: %s (%.3f s, %s)", entry,
+                        time.perf_counter() - start, how)
             return table
     table = _parse_vectors(path, expected_dim)
     # The bytes parsed may differ from the bytes hashed above if the file
@@ -180,6 +189,79 @@ def load_vectors(path, expected_dim: int | None = None) -> VectorTable:
     logger.info("vector cache %s %s (%.3f s)", outcome, entry,
                 time.perf_counter() - start)
     return table
+
+
+# A stamp is written only for a file whose mtime and ctime are older than
+# the start of its hash by this margin.  File times are coarse: a file
+# changed just before or while it was hashed could change again with the
+# same size and times, and a stamp would then vouch for the wrong bytes
+# (git's "racily clean" entries).
+STAMP_MARGIN_NS = 3_000_000_000
+
+
+def _stamp_record(st: os.stat_result, digest) -> dict:
+    return {"size": st.st_size, "mtime_ns": st.st_mtime_ns,
+            "ctime_ns": st.st_ctime_ns, "sha256": digest}
+
+
+def _stamp_path(st: os.stat_result) -> str:
+    return os.path.join(cache_root(), "stamps", f"{st.st_dev}-{st.st_ino}.json")
+
+
+def _stamped_digest(path) -> str | None:
+    """The sha256 that the stamp of ``path``'s device and inode records, if
+    its size, mtime and ctime equal the file's ``os.stat``; else None.  A
+    stamp is only a hint: one that is missing, unreadable or malformed is
+    None, never an error."""
+    st = os.stat(path)
+    try:
+        with open(_stamp_path(st), "rb") as fh:
+            stamp = json.load(fh)
+    except (OSError, ValueError, RecursionError):  # bad UTF-8 or JSON
+        return None
+    digest = stamp.get("sha256") if isinstance(stamp, dict) else None
+    if isinstance(digest, str) and stamp == _stamp_record(st, digest):
+        return digest
+    return None
+
+
+def _hash_file(path) -> str:
+    """The sha256 of the file at ``path``.  Leaves a stamp for it when it is
+    a regular file whose size and times did not move while it was hashed
+    and whose mtime and ctime precede the hash by ``STAMP_MARGIN_NS``."""
+    import hashlib
+
+    started = time.time_ns()
+    with open(path, "rb") as fh:
+        before = os.fstat(fh.fileno())
+        digest = hashlib.file_digest(fh, "sha256").hexdigest()
+        after = os.fstat(fh.fileno())
+    record = _stamp_record(before, digest)
+    if (stat.S_ISREG(before.st_mode) and record == _stamp_record(after, digest)
+            and max(before.st_mtime_ns, before.st_ctime_ns)
+            < started - STAMP_MARGIN_NS):
+        _write_stamp(_stamp_path(before), record)
+    return digest
+
+
+def _write_stamp(target: str, record: dict) -> None:
+    """Publish a stamp atomically (a temporary file renamed into place).  A
+    stamp that cannot be written is skipped: it only saves a later hash."""
+    import tempfile
+
+    root = os.path.dirname(target)
+    try:
+        os.makedirs(root, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=root)
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(record, fh)
+        os.replace(tmp, target)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def _vector_lines(fh, sha, path):
@@ -212,6 +294,8 @@ def _is_header(head) -> bool:
 def _parse_vectors(path, expected_dim: int | None) -> VectorTable:
     """The text parser behind ``load_vectors``; a header line is not counted
     in ``parsed_lines`` and its count must equal the vector lines."""
+    import hashlib
+
     sha = hashlib.sha256()
     index: dict[str, int] = {}
     rows: list[np.ndarray] = []
@@ -278,6 +362,9 @@ def _write_entry(entry: str, table: VectorTable) -> None:
     """Publish ``table`` at ``entry`` atomically: write a temporary directory
     beside it and rename it into place.  An entry a concurrent writer
     published first is kept."""
+    import shutil
+    import tempfile
+
     root = os.path.dirname(entry)
     os.makedirs(root, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".tmp-", dir=root)

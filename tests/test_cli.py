@@ -1,15 +1,21 @@
+import contextlib
+import io
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import noppa
-from noppa import (EncoderConfig, Pipeline, denoiser, evalkit,
+from noppa import (EncoderConfig, Pipeline, denoiser, evalkit, lexicon,
                    load_frequencies, load_vectors)
 from noppa.cli import main
+
+from file_strategies import frequency_files, noise_files
 
 
 @pytest.fixture
@@ -155,6 +161,15 @@ class TestFitNoise:
         assert not np.allclose(raw, cleaned)
 
 
+def _python(*args):
+    """Run a fresh interpreter that imports this checkout's noppa."""
+    src = os.path.dirname(os.path.dirname(noppa.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
 def _one_line_error(capsys, *fragments):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -215,41 +230,63 @@ class TestBadFiles:
         tmp, _, freq, sent = world
         vec = tmp / "overflow.txt"
         vec.write_text("a 1 2\nb 1e40 2\n")
-        src = os.path.dirname(os.path.dirname(noppa.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "noppa.cli", "embed", "--vectors", str(vec),
-             "--freq", freq, sent],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = _python("-m", "noppa.cli", "embed", "--vectors", str(vec),
+                       "--freq", freq, sent)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
             f"error: {vec}: non-finite vector at line 2"], proc.stderr
 
 
 class TestVectorCache:
-    def _outputs(self, world):
-        """embed (with and without a noise model) and fit-noise output bytes."""
+    def _outputs(self, world, capsys):
+        """Exit code, stdout and stderr of fit-noise, embed (with and without
+        a noise model), attention, contrib and eval, and the files written."""
         tmp, vec, freq, sent = world
         noise, plain, removed = (tmp / n for n in ("n.txt", "p.csv", "r.csv"))
-        assert run(["fit-noise", "--vectors", vec, "--freq", freq, "-k", "2",
-                    "--out", str(noise), sent]) == 0
-        assert run(["embed", "--vectors", vec, "--freq", freq,
-                    "--out", str(plain), sent]) == 0
-        assert run(["embed", "--vectors", vec, "--freq", freq, "--noise-model",
-                    str(noise), "--out", str(removed), sent]) == 0
-        return [p.read_bytes() for p in (noise, plain, removed)]
+        dataset = tmp / "toy.tsv"
+        dataset.write_text("".join(f"{i % 2}\t{'girl eats cake' if i % 2 else 'dog runs'}"
+                                   f" x{i}\n" for i in range(40)))
+        tables = ["--vectors", vec, "--freq", freq]
+        commands = [
+            ["fit-noise", *tables, "-k", "2", "--out", str(noise), sent],
+            ["embed", *tables, "--out", str(plain), sent],
+            ["embed", *tables, "--noise-model", str(noise), "--out", str(removed),
+             sent],
+            ["attention", *tables, "the girl eats a cake"],
+            ["contrib", *tables, "--noise-model", str(noise), "the girl eats cake"],
+            ["eval", *tables, "--a-grid", "0.05", "--k-grid", "0,2", "--seeds", "1",
+             str(dataset)],
+        ]
+        capsys.readouterr()
+        results = []
+        for argv in commands:
+            results.append((run(argv), *capsys.readouterr()))
+        assert [r[0] for r in results] == [0] * len(commands)
+        return results + [p.read_bytes() for p in (noise, plain, removed)]
 
     def _entry(self, vector_cache):
         entries = list(vector_cache.glob("vectors-v*"))
         assert len(entries) == 1
         return entries[0]
 
-    def test_miss_and_hit_outputs_byte_identical(self, world, vector_cache):
-        miss = self._outputs(world)  # the first load parses and writes
+    def test_miss_and_hit_outputs_byte_identical(self, world, vector_cache,
+                                                 capsys, monkeypatch):
+        miss = self._outputs(world, capsys)  # the first load parses and writes
         self._entry(vector_cache)
-        hit = self._outputs(world)  # every later load maps the entry
-        assert miss == hit
+        hashed = self._outputs(world, capsys)  # too fresh for a stamp: hashed
+        assert not (vector_cache / "stamps").exists()
+        # As if the file last changed a minute ago: hash hits leave a stamp,
+        # and every load after them trusts it.
+        monkeypatch.setattr(lexicon, "STAMP_MARGIN_NS", -60 * 10**9)
+        self._outputs(world, capsys)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stamped file was hashed or parsed")
+
+        monkeypatch.setattr(lexicon, "_hash_file", refuse)
+        monkeypatch.setattr(lexicon, "_parse_vectors", refuse)
+        stamped = self._outputs(world, capsys)
+        assert miss == hashed == stamped
 
     @pytest.mark.parametrize("damage", ["truncated-matrix", "extra-token"])
     def test_corrupted_entry_exit_1(self, world, vector_cache, capsys, damage):
@@ -267,12 +304,65 @@ class TestVectorCache:
         _one_line_error(capsys, "corrupted vector cache entry", str(entry))
 
     def test_unwritable_cache_root_same_bytes(self, world, vector_cache,
-                                              monkeypatch):
-        cached = self._outputs(world)
+                                              monkeypatch, capsys):
+        cached = self._outputs(world, capsys)
         blocker = world[0] / "not-a-dir"
         blocker.write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-        assert self._outputs(world) == cached
+        assert self._outputs(world, capsys) == cached
+
+
+class TestStartupFileFuzz:
+    """``noppa embed`` on generated frequency and noise-model files."""
+
+    WORDS = ["the", "girl", "eats", "a", "cake", "dog"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(freq=frequency_files(), noise=noise_files(dim=8))
+    def test_exit_0_or_one_error_line(self, freq, noise, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        rng = np.random.default_rng(0)
+        vec = tmp / "vectors.txt"
+        vec.write_text("".join(f"{w} {' '.join(map(str, rng.standard_normal(4)))}\n"
+                               for w in self.WORDS))
+        sent = tmp / "sentences.txt"
+        sent.write_text("the girl eats a cake\nzzz\na dog\n")
+        (tmp / "freq.txt").write_bytes(freq)
+        (tmp / "noise.txt").write_bytes(noise)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["embed", "--vectors", str(vec), "--freq", str(tmp / "freq.txt"),
+                        "--noise-model", str(tmp / "noise.txt"), str(sent)])
+        assert not caught, [str(w.message) for w in caught]
+        lines = err.getvalue().splitlines()
+        if code == 1:
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        else:
+            assert code == 0
+            assert lines == ["warning: line 2 produced no embeddable tokens"]
+            rows = out.getvalue().splitlines()
+            assert len(rows) == 3 and "nan" not in rows[0] + rows[2]
+
+
+class TestImports:
+    def test_cli_import_leaves_eval_modules_and_hashlib_unloaded(self):
+        proc = _python("-c", "import sys, noppa.cli; print(sorted(m for m in "
+                       "('noppa.evalkit', 'noppa.analysis', 'noppa.synth', "
+                       "'hashlib') if m in sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_lazy_submodules_still_import(self):
+        proc = _python("-c", "import noppa; from noppa import evalkit; "
+                       "print(evalkit.__name__, noppa.synth.__name__, "
+                       "noppa.analysis.__name__)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "noppa.evalkit noppa.synth noppa.analysis\n"
+        proc = _python("-c", "import noppa; noppa.nothing")
+        assert proc.stderr.splitlines()[-1] == (
+            "AttributeError: module 'noppa' has no attribute 'nothing'")
 
 
 class TestAnalysisCommands:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.linalg import subspace_angles
 
 from noppa import FormatError, InfeasibleConfigError, NoppaError, denoiser
 from noppa.encoder import SentenceEmbedding
 
 import oracles
+from file_strategies import noise_files
 
 
 def svd_minor_rows(X, k):
@@ -190,6 +192,28 @@ class TestSaveLoad:
         with pytest.raises(FormatError, match="row-count mismatch"):
             denoiser.load(path)
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("line", [2, 4], ids=["row", "singular-values"])
+    def test_value_not_a_finite_real_names_file_and_line(self, tmp_path, line,
+                                                         value):
+        path = tmp_path / "noise.txt"
+        denoiser.save(denoiser.fit(np.eye(4), 2), path)
+        lines = path.read_text().splitlines()
+        fields = lines[line - 1].split()
+        fields[1] = value
+        lines[line - 1] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as exc:
+            denoiser.load(path)
+        assert str(exc.value) == (f"{path}: not a finite real at line {line}: "
+                                  f"{value!r}")
+
+    def test_rows_not_orthonormal(self, tmp_path):
+        path = tmp_path / "noise.txt"
+        path.write_text("NOPPA-NOISE v1 k=2 dim=2\n1 0\n1e300 0\n2 1\n")
+        with pytest.raises(FormatError, match="not orthonormal"):
+            denoiser.load(path)
+
     def test_loaded_model_removes_identically(self, tmp_path):
         rng = np.random.default_rng(12)
         X = rng.standard_normal((60, 8))
@@ -199,3 +223,21 @@ class TestSaveLoad:
         loaded = denoiser.load(path)
         np.testing.assert_allclose(denoiser.remove_matrix(X, loaded),
                                    denoiser.remove_matrix(X, model), atol=1e-10)
+
+
+class TestNoiseFileFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(content=noise_files())
+    def test_loads_or_raises_noppa_error(self, content, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "noise.txt"
+        path.write_bytes(content)
+        try:
+            model = denoiser.load(path)
+        except NoppaError as exc:
+            assert "\n" not in str(exc)
+            return
+        assert model.vk.shape == (model.k, model.dim)
+        assert np.isfinite(model.vk).all()
+        assert np.isfinite(model.singular_values).all()
+        np.testing.assert_allclose(model.vk @ model.vk.T, np.eye(model.k),
+                                   atol=1e-9)

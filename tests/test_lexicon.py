@@ -1,5 +1,10 @@
+import builtins
+import hashlib
+import json
 import logging
 import os
+import shutil
+import time
 
 import numpy as np
 import pytest
@@ -10,10 +15,8 @@ from noppa import (FormatError, FrequencyTable, NoppaError, VectorTable,
                    lexicon, load_frequencies, load_vectors, save_vectors,
                    tokenize)
 
-# Tokens in the text formats must not contain whitespace.
-token_strategy = st.text(
-    alphabet=st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs")),
-    min_size=1, max_size=12)
+from file_strategies import frequency_files, token_strategy
+
 
 
 def write_lines(path, lines):
@@ -224,6 +227,147 @@ class TestVectorCache:
         assert lines[1].startswith(f"vector cache hit: {entry} (")
 
 
+def settle(monkeypatch):
+    """Load as if each file last changed a minute ago, so that a load which
+    hashes a file leaves a stamp for it (``lexicon.STAMP_MARGIN_NS``)."""
+    monkeypatch.setattr(lexicon, "STAMP_MARGIN_NS", -60 * 10**9)
+
+
+def stamp_of(path):
+    return lexicon._stamp_path(os.stat(path))
+
+
+class TestVectorStamp:
+    def test_stamp_hit_neither_opens_nor_hashes(self, tmp_path, monkeypatch,
+                                                caplog):
+        p = tmp_path / "vec.txt"
+        write_lines(p, ["alpha 0.1 -2.5e-3 3", "beta 1 2 3", "alpha 4 5 6"])
+        settle(monkeypatch)
+        reference = lexicon._parse_vectors(p, None)
+        miss = load_vectors(p)
+        entry = lexicon._entry_path(miss.source_hash)
+        assert os.path.isfile(stamp_of(p))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the text file was hashed or parsed")
+
+        real_open = builtins.open
+
+        def guarded_open(file, *args, **kwargs):
+            if os.fspath(file) == str(p):
+                raise AssertionError("the text file was opened")
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(lexicon, "_hash_file", refuse)
+        monkeypatch.setattr(lexicon, "_parse_vectors", refuse)
+        monkeypatch.setattr(builtins, "open", guarded_open)
+        with caplog.at_level(logging.INFO, logger="noppa.lexicon"):
+            hit = load_vectors(p)
+        assert_same_table(hit, miss)
+        assert_same_table(hit, reference)
+        assert caplog.messages[-1].startswith(f"vector cache hit: {entry} (")
+        assert caplog.messages[-1].endswith(" s, stamp)")
+
+    def test_fresh_file_gets_no_stamp(self, tmp_path, caplog):
+        # Written milliseconds ago: a same-size rewrite could keep its times.
+        p = tmp_path / "vec.txt"
+        write_lines(p, ["alpha 1 2 3"])
+        with caplog.at_level(logging.INFO, logger="noppa.lexicon"):
+            load_vectors(p)
+            load_vectors(p)
+        assert not os.path.exists(stamp_of(p))
+        assert caplog.messages[-1].endswith(" s, hashed)")
+
+    def test_file_changed_while_hashed_gets_no_stamp(self, tmp_path,
+                                                     monkeypatch):
+        p = tmp_path / "vec.txt"
+        write_lines(p, ["alpha 1 2 3"])
+        settle(monkeypatch)
+        file_digest = hashlib.file_digest
+
+        def digest_then_append(fh, name):
+            result = file_digest(fh, name)
+            with open(p, "a", encoding="utf-8") as out:
+                out.write("beta 4 5 6\n")
+            return result
+
+        monkeypatch.setattr(hashlib, "file_digest", digest_then_append)
+        table = load_vectors(p)
+        assert not os.path.exists(stamp_of(p))
+        assert_same_table(table, lexicon._parse_vectors(p, None))
+
+    @pytest.mark.parametrize("change", ["rewrite", "rewrite-old-mtime",
+                                        "rename"])
+    def test_changed_file_loads_new_content(self, tmp_path, monkeypatch,
+                                            change):
+        p = tmp_path / "vec.txt"
+        write_lines(p, ["alpha 1 2 3"])
+        if change != "rewrite":  # a rewrite right after the load: no stamp
+            settle(monkeypatch)
+        first = load_vectors(p)
+        old = os.stat(p)
+        # Let the file clock tick, as the margin ensures outside tests.
+        time.sleep(0.05)
+        if change == "rename":
+            q = tmp_path / "new.txt"
+            write_lines(q, ["alpha 1 2 4"])
+            os.utime(q, ns=(old.st_atime_ns, old.st_mtime_ns))
+            os.replace(q, p)
+        else:
+            write_lines(p, ["alpha 1 2 4"])
+            if change == "rewrite-old-mtime":
+                os.utime(p, ns=(old.st_atime_ns, old.st_mtime_ns))
+        assert os.stat(p).st_size == old.st_size
+        second = load_vectors(p)
+        assert first.source_hash != second.source_hash
+        np.testing.assert_array_equal(second.get("alpha"), [1, 2, 4])
+        assert_same_table(second, lexicon._parse_vectors(p, None))
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "garbage", "not-utf8", "list", "deep", "bad-digest",
+        "missing-entry", "removed-entry"])
+    def test_bad_stamp_takes_the_hash_path(self, tmp_path, monkeypatch,
+                                           damage):
+        p = tmp_path / "vec.txt"
+        write_lines(p, ["alpha 1 2 3", "beta 4 5 6"])
+        settle(monkeypatch)
+        reference = load_vectors(p)
+        stamp = stamp_of(p)
+        with open(stamp, "rb") as fh:
+            data = fh.read()
+        record = json.loads(data)
+        damaged = {
+            "truncated": data[:-3],
+            "garbage": b"\x00garbage",
+            "not-utf8": b"\xff\xfe",
+            "list": b"[1, 2]",
+            "deep": b"[" * 100_000,
+            "bad-digest": json.dumps({**record, "sha256": 7}).encode(),
+            "missing-entry": json.dumps({**record, "sha256": "0" * 64}).encode(),
+            "removed-entry": data,
+        }[damage]
+        with open(stamp, "wb") as fh:
+            fh.write(damaged)
+        if damage == "removed-entry":
+            shutil.rmtree(lexicon._entry_path(reference.source_hash))
+        assert_same_table(load_vectors(p), reference)
+        with open(stamp, "rb") as fh:
+            assert json.load(fh) == record  # the hash path rewrote it
+
+    def test_unwritable_cache_root_skips_the_stamp(self, tmp_path, monkeypatch,
+                                                   caplog):
+        p = tmp_path / "vec.txt"
+        write_lines(p, ["alpha 1 2 3"])
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        settle(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="noppa.lexicon"):
+            for _ in range(2):
+                assert_same_table(load_vectors(p), lexicon._parse_vectors(p, None))
+        assert not any(r.levelno >= logging.WARNING for r in caplog.records)
+
+
 @st.composite
 def vector_files(draw):
     """Bytes of a vector file: well-formed rows of one dim, an optional
@@ -326,6 +470,21 @@ class TestLoadFrequencies:
         total = sum(ft.probabilities.values())
         assert abs(total - 1.0) <= 1e-9
         assert min(ft.probabilities.values()) >= 1.0 / ft.total_count - 1e-15
+
+
+class TestFrequencyFileFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(content=frequency_files())
+    def test_loads_or_raises_noppa_error(self, content, tmp_path_factory):
+        p = tmp_path_factory.mktemp("fuzz") / "freq.txt"
+        p.write_bytes(content)
+        try:
+            table = load_frequencies(p)
+        except NoppaError as exc:
+            assert "\n" not in str(exc)
+            return
+        assert abs(sum(table.probabilities.values()) - 1.0) <= 1e-9
+        assert all(0.0 < v <= 1.0 for v in table.probabilities.values())
 
 
 class TestTokenize:
