@@ -39,7 +39,7 @@ class WeightCurve:
 
 def _config_comments(pipe: Pipeline) -> list[str]:
     source = pipe.vectors.source_hash or "unknown"
-    k = pipe.noise.k if pipe.noise is not None else pipe.config.k
+    k = pipe.noise.k if pipe.noise is not None else 0
     return [
         f"# a={pipe.config.a:g} k={k} use_positions={pipe.config.use_positions}",
         f"# vectors=sha256:{source}",

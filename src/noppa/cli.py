@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: embed, fit-noise, attention, contrib, weight-curve, eval,
-bench.  Exit codes: 0 ok, 1 runtime error, 2 missing input, 3 infeasible
-configuration, 64 usage.  Each subcommand accepts only the flags it reads.
+bench (a quick encode timing and the length-scaling probe; the end-to-end
+timing of the other subcommands is ``benchmark/run.py``).  Exit codes: 0
+ok, 1 runtime error, 2 missing input, 3 infeasible configuration, 64
+usage.  Each subcommand accepts only the flags it reads.
 Randomness enters only through ``bench --seed`` and ``eval --seeds``;
 identical flags produce byte-identical primary output files.
 """
@@ -14,8 +16,8 @@ import logging
 import os
 import sys
 
-# evalkit and analysis are imported by the subcommands that run them, so
-# that embed and fit-noise start without them.
+# evalkit, analysis and bench are imported by the subcommands that run
+# them, so that embed and fit-noise start without them.
 from . import denoiser
 from .encoder import VARIANTS, EncoderConfig, check_ranges
 from .errors import InfeasibleConfigError, NoppaError
@@ -87,7 +89,9 @@ def _build_pipeline(args) -> Pipeline:
     if getattr(args, "noise_model", None):
         noise = denoiser.load(_open_input(args.noise_model))
     config = EncoderConfig(a=args.a, dim=vectors.dim,
-                           use_positions=not args.no_positions, k=args.k)
+                           use_positions=not args.no_positions)
+    if args.k < 0:  # read by fit-noise; refused for every subcommand alike
+        raise NoppaError(f"k must be >= 0, got {args.k}")
     return Pipeline(vectors=vectors, frequencies=frequencies,
                     config=config, noise=noise)
 
@@ -201,32 +205,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from . import evalkit
+    from . import bench
 
     vectors = load_vectors(_open_input(args.vectors))
     frequencies = load_frequencies(_open_input(args.freq))
     config = EncoderConfig(a=args.a, dim=vectors.dim,
-                           use_positions=not args.no_positions, k=args.k)
+                           use_positions=not args.no_positions)
     sentences = _read_sentences(args.sentences) if args.sentences else []
-    noise = denoiser.load(_open_input(args.noise_model)) if args.noise_model else None
-    report = evalkit.bench_throughput(
-        sentences, vectors, frequencies, config,
-        repetitions=args.reps, noise=noise,
-        scaling_n=args.scale_n, scaling_count=args.scale_count,
-        seed=args.seed)
-    print(f"machine: {report.machine}")
-    print(f"sentences: {report.sentence_count}")
-    print(f"encode: {report.encode.mean:.4f}s ± {report.encode.stderr:.4f}s "
-          f"over {len(report.encode.times)} reps")
-    print(f"encode+denoise: {report.encode_denoise_mean:.4f}s "
-          f"± {report.encode_denoise_stderr:.4f}s")
-    if report.scaling is not None:
-        s = report.scaling
-        print(f"scaling probe (n={s.n} vs {2 * s.n}, {s.count} sentences): "
-              f"encode {s.encode_short.best:.4f}s -> {s.encode_long.best:.4f}s "
-              f"(ratio {s.encode_ratio:.2f}); "
-              f"denoise {s.denoise_short.mean * 1e3:.3f}ms -> "
-              f"{s.denoise_long.mean * 1e3:.3f}ms (ratio {s.denoise_ratio:.2f})")
+    sys.stdout.write(bench.report(
+        sentences, vectors, frequencies, config, k=args.k,
+        repetitions=args.reps, scaling_n=args.scale_n,
+        scaling_count=args.scale_count, seed=args.seed))
     return EXIT_OK
 
 
@@ -283,9 +272,8 @@ def build_parser() -> _Parser:
     p.add_argument("--log", help="run-log file (appended)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="throughput and scaling benchmark")
-    _add_flags(p, "--vectors", "--freq", "-a", "-k", "--no-positions",
-               "--noise-model")
+    p = sub.add_parser("bench", help="quick encode timing and length-scaling probe")
+    _add_flags(p, "--vectors", "--freq", "-a", "-k", "--no-positions")
     p.add_argument("--seed", type=int, default=1034,
                    help="seed of the scaling probe's synthetic sentences")
     p.add_argument("--sentences", help="sentences file to time end-to-end")

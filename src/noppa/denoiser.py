@@ -55,6 +55,8 @@ def fit(embeddings: np.ndarray, k: int) -> NoiseModel:
     singular values.  Ties at the k-boundary break by the deterministic
     ordering of the symmetric eigensolver (arbitrary but stable).
     """
+    if k < 0:
+        raise NoppaError(f"k must be >= 0, got {k}")
     X = np.asarray(embeddings, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise NoppaError("embeddings must be a non-empty 2-d matrix")

@@ -21,22 +21,19 @@ from .lexicon import FrequencyTable, TokenSequence, VectorTable
 class EncoderConfig:
     """Hyper-parameters of the embedding pipeline.
 
-    ``a`` controls the smooth frequency weight, ``k`` the number of noise
-    directions removed downstream, ``dim`` must match the vector table.
+    ``a`` controls the smooth frequency weight, ``dim`` must match the
+    vector table.
     """
 
     a: float
     dim: int
     use_positions: bool = True
-    k: int = 0
 
     def __post_init__(self):
         if not self.a > 0:
             raise NoppaError(f"a must be positive, got {self.a}")
         if self.dim < 1:
             raise NoppaError(f"dim must be >= 1, got {self.dim}")
-        if self.k < 0:
-            raise NoppaError(f"k must be >= 0, got {self.k}")
 
 
 # The documented ranges of a and k; the CLI refuses values outside them

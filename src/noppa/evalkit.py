@@ -1,5 +1,5 @@
-"""Desk-scale downstream evaluation: dataset ingestion, a small MLP
-classifier, baseline embedders, grid search, and throughput benchmarks.
+"""Desk-scale downstream evaluation: dataset ingestion, batch encoding, a
+small MLP classifier, baseline embedders and grid search.
 
 The classifier follows a fixed protocol: one hidden layer of 50 rectified
 units, softmax cross-entropy, Adam with batch size 64 and no dropout,
@@ -13,7 +13,6 @@ import contextlib
 import hashlib
 import logging
 import os
-import platform
 import time
 from dataclasses import dataclass
 
@@ -46,6 +45,12 @@ class LabeledDataset:
     def __post_init__(self):
         if not self.train or not self.test:
             raise FormatError(f"{self.name}: train and test splits must be non-empty")
+        # Checked over all splits: a train split of single sentences and a
+        # test split of pairs would give classifier inputs of two widths.
+        if len({isinstance(s, tuple) for split in (self.train, self.dev, self.test)
+                for s, _ in split}) > 1:
+            raise FormatError(f"{self.name}: rows mix single sentences and "
+                              "sentence pairs")
 
 
 @dataclass(frozen=True)
@@ -76,9 +81,6 @@ class EmbedderSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise NoppaError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        if self.variant not in _NR_VARIANTS and self.config.k != 0:
-            raise NoppaError(f"variant {self.variant!r} does not apply noise "
-                             f"removal; k must be 0, got {self.config.k}")
 
     @property
     def uniform_weights(self) -> bool:
@@ -120,9 +122,8 @@ def _read_tsv(path) -> list[tuple[object, str]]:
 
 
 def _coerce_labels(rows: list[tuple[object, str]], label_count: int | None,
-                   name: str) -> tuple[list[tuple[object, int]], int]:
+                   name: str) -> list[tuple[object, int]]:
     out = []
-    seen = set()
     for sentence, token in rows:
         try:
             label = int(token)
@@ -132,10 +133,19 @@ def _coerce_labels(rows: list[tuple[object, str]], label_count: int | None,
             raise FormatError(f"{name}: unknown label token {token!r}")
         if label_count is not None and label >= label_count:
             raise FormatError(f"{name}: label {label} outside [0, {label_count})")
-        seen.add(label)
         out.append((sentence, label))
-    inferred = (max(seen) + 1) if seen else 0
-    return out, (label_count if label_count is not None else inferred)
+    return out
+
+
+def _inferred_label_count(labels: list[int], name: str) -> int:
+    """``max(labels) + 1``, refused when it exceeds the number of labeled
+    rows: the classifier's output layer has one unit per class, so a stray
+    huge label would ask for more memory than the machine has."""
+    count = max(labels, default=-1) + 1
+    if count > len(labels):
+        raise FormatError(f"{name}: label {count - 1} implies {count} classes, "
+                          f"more than the {len(labels)} labeled rows")
+    return count
 
 
 def load_dataset(name: str, path, label_count: int | None = None) -> LabeledDataset:
@@ -145,19 +155,19 @@ def load_dataset(name: str, path, label_count: int | None = None) -> LabeledData
     then the sha1 hash of the sentence mod 10: buckets 0-7 train, 8 dev,
     9 test), or a directory with official ``train.tsv``/``dev.tsv``/
     ``test.tsv`` files.  Pair tasks use a third tab-separated column.
+    Without ``label_count`` the labels are 0 .. max(label).
     """
     if os.path.isdir(path):
-        splits = {}
+        splits = []
         for split in ("train", "dev", "test"):
             split_path = os.path.join(path, f"{split}.tsv")
             rows = _read_tsv(split_path) if os.path.exists(split_path) else []
-            splits[split], _ = _coerce_labels(rows, label_count, name)
-        all_labels = [l for s in splits.values() for _, l in s]
-        count = label_count if label_count is not None else (max(all_labels) + 1 if all_labels else 0)
-        return LabeledDataset(name=name, train=splits["train"], dev=splits["dev"],
-                              test=splits["test"], label_count=count)
-    labeled, count = _coerce_labels(_read_tsv(path), label_count, name)
-    return LabeledDataset(name, *_hash_split(labeled), label_count=count)
+            splits.append(_coerce_labels(rows, label_count, name))
+    else:
+        splits = _hash_split(_coerce_labels(_read_tsv(path), label_count, name))
+    if label_count is None:
+        label_count = _inferred_label_count([l for s in splits for _, l in s], name)
+    return LabeledDataset(name, *splits, label_count=label_count)
 
 
 def load_polarity_pair(name: str, pos_path, neg_path) -> LabeledDataset:
@@ -226,10 +236,12 @@ def encode_batch(token_lists: list[TokenSequence], vectors: VectorTable,
 def embed_split(sentences, spec: EmbedderSpec, vectors: VectorTable,
                 frequencies: FrequencyTable,
                 a_values: list[float] | None = None):
-    """Embed a list of sentences (str or pair) for each a in ``a_values``.
+    """Embed a list of sentences (all str or all pairs, as
+    ``LabeledDataset`` checks) for each a in ``a_values``.
 
     Returns (dict a -> (l x D) matrix, kept_indices).  Sentences whose
-    tokens are all out of vocabulary are dropped and logged.
+    tokens are all out of vocabulary are dropped; ``kept_indices`` lists
+    the others.
     """
     a_values = a_values if a_values is not None else [spec.config.a]
     kept: list[int] = []
@@ -240,13 +252,8 @@ def embed_split(sentences, spec: EmbedderSpec, vectors: VectorTable,
         if all(len(t) for t in toks):
             token_lists.append(toks)
             kept.append(i)
-    if len(kept) < len(sentences):
-        logger.warning("dropped %d sentences with no in-vocabulary tokens",
-                       len(sentences) - len(kept))
     if not kept:
         return {a: np.zeros((0, 0)) for a in a_values}, kept
-    if len({len(toks) for toks in token_lists}) > 1:
-        raise FormatError("a dataset mixes single sentences and sentence pairs")
     # One matrix per part: the sentence itself, or the two halves of a pair.
     weights = None if spec.uniform_weights else frequencies
     embedded = [encode_batch(part, vectors, weights, spec.config, a_values,
@@ -449,11 +456,21 @@ def evaluate_runs(dataset: LabeledDataset, vectors: VectorTable,
           else contextlib.nullcontext()) as log:
         t0 = time.perf_counter()
         spec = EmbedderSpec(variant, EncoderConfig(
-            a=a_values[0], dim=vectors.dim, use_positions=use_positions, k=0))
+            a=a_values[0], dim=vectors.dim, use_positions=use_positions))
         splits = (dataset.train, dataset.dev, dataset.test)
         embedded = [embed_split([s for s, _ in split], spec, vectors, frequencies,
                                 a_values) for split in splits]
         embed_seconds = time.perf_counter() - t0
+        # Checked before the drop warnings, so a failure prints one line.
+        # A dev split with nothing left falls back to train accuracy.
+        for name, (_, kept) in (("train", embedded[0]), ("test", embedded[2])):
+            if not kept:
+                raise FormatError(f"{dataset.name}: no {name} sentence has an "
+                                  "in-vocabulary token")
+        for split, (_, kept) in zip(splits, embedded):
+            if len(kept) < len(split):
+                logger.warning("dropped %d sentences with no in-vocabulary tokens",
+                               len(split) - len(kept))
         train_m, dev_m, test_m = (m for m, _ in embedded)
         train_y, dev_y, test_y = (np.array([split[i][1] for i in kept])
                                   for split, (_, kept) in zip(splits, embedded))
@@ -519,144 +536,3 @@ def grid_search(dataset: LabeledDataset, vectors: VectorTable,
         test_mean=float(np.mean(tests)),
         test_std=float(np.std(tests)),
     )
-
-
-# ---------------------------------------------------------------------------
-# Throughput benchmark
-
-
-@dataclass
-class TimingStat:
-    times: list[float]  # seconds per repetition
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.times))
-
-    @property
-    def stderr(self) -> float:
-        if len(self.times) < 2:
-            return 0.0
-        return float(np.std(self.times, ddof=1) / np.sqrt(len(self.times)))
-
-    @property
-    def best(self) -> float:
-        return float(min(self.times))
-
-
-@dataclass
-class ScalingProbe:
-    n: int
-    count: int
-    encode_short: TimingStat
-    encode_long: TimingStat  # sentences of length 2n
-    denoise_short: TimingStat
-    denoise_long: TimingStat
-
-    @property
-    def encode_ratio(self) -> float:
-        return self.encode_long.best / self.encode_short.best
-
-    @property
-    def denoise_ratio(self) -> float:
-        return self.denoise_long.mean / self.denoise_short.mean
-
-
-@dataclass
-class BenchReport:
-    sentence_count: int
-    encode: TimingStat
-    denoise: TimingStat
-    scaling: ScalingProbe | None
-    machine: str
-
-    @property
-    def encode_denoise_mean(self) -> float:
-        return self.encode.mean + self.denoise.mean
-
-    @property
-    def encode_denoise_stderr(self) -> float:
-        return float(np.hypot(self.encode.stderr, self.denoise.stderr))
-
-
-def _machine_info() -> str:
-    return (f"{platform.platform()} | python {platform.python_version()} | "
-            f"numpy {np.__version__} | cpu {platform.processor() or 'unknown'}")
-
-
-def _synthetic_token_lists(vectors: VectorTable, length: int, count: int, rng):
-    vocab = list(vectors.tokens())
-    return [TokenSequence(tokens=[vocab[j] for j in rng.integers(0, len(vocab), length)])
-            for _ in range(count)]
-
-
-def bench_throughput(sentences, vectors: VectorTable, frequencies: FrequencyTable,
-                     config: EncoderConfig, repetitions: int = 3,
-                     noise: "denoiser.NoiseModel | None" = None,
-                     scaling_n: int | None = None, scaling_count: int = 1000,
-                     seed: int = 0) -> BenchReport:
-    """Wall-time benchmark of the encode and denoise passes.
-
-    ``sentences`` are raw strings, embedded end to end per repetition.
-    When ``scaling_n`` is given, synthetic sentences of length n and 2n
-    (tokens sampled from the vector vocabulary) time the quadratic stage;
-    the denoise pass is timed on the resulting embedding batches.
-    """
-    if repetitions < 3:
-        raise NoppaError(f"repetitions must be >= 3, got {repetitions}")
-
-    def encode_passes(token_lists) -> tuple[TimingStat, np.ndarray]:
-        """Time each repetition's encode pass; returns the times and the rows."""
-        times = []
-        for _ in range(repetitions):
-            t0 = time.perf_counter()
-            rows = encode_batch(token_lists, vectors, frequencies, config)[config.a]
-            times.append(time.perf_counter() - t0)
-        return TimingStat(times), rows
-
-    denoise_reps = max(repetitions, 10)  # short op; extra reps stabilize the mean
-
-    def denoise_passes(batches, model, inner=1) -> list[TimingStat]:
-        """Mean time of one remove_matrix pass per batch, over ``inner``
-        passes per rep.  The batches take turns rep by rep, so a slow spell
-        of the host hits each of them alike."""
-        times = [[] for _ in batches]
-        for _ in range(denoise_reps):
-            for rows, batch_times in zip(batches, times):
-                t0 = time.perf_counter()
-                for _ in range(inner):
-                    denoiser.remove_matrix(rows, model)
-                batch_times.append((time.perf_counter() - t0) / inner)
-        return [TimingStat(t) for t in times]
-
-    token_lists = [t for t in (tokenize(s, vectors) for s in sentences) if len(t)]
-    encode_stat, embeddings = encode_passes(token_lists)
-
-    model = noise
-    if model is None and embeddings.size:
-        model = denoiser.fit(embeddings, min(config.k, min(embeddings.shape)))
-    if model is not None and embeddings.size:
-        denoise_stat, = denoise_passes([embeddings], model)
-    else:
-        denoise_stat = TimingStat([0.0] * denoise_reps)
-
-    scaling = None
-    if scaling_n is not None:
-        rng = np.random.default_rng(seed)
-        short = _synthetic_token_lists(vectors, scaling_n, scaling_count, rng)
-        long = _synthetic_token_lists(vectors, 2 * scaling_n, scaling_count, rng)
-        encode_short, emb_short = encode_passes(short)
-        encode_long, emb_long = encode_passes(long)
-        k_probe = max(config.k, 1)
-        probe_model = denoiser.fit(emb_short, min(k_probe, min(emb_short.shape)))
-        # A single pass is ~ms; 25 per repetition give a stable reading.
-        denoise_short, denoise_long = denoise_passes([emb_short, emb_long],
-                                                     probe_model, 25)
-        scaling = ScalingProbe(n=scaling_n, count=scaling_count,
-                               encode_short=encode_short, encode_long=encode_long,
-                               denoise_short=denoise_short, denoise_long=denoise_long)
-
-    return BenchReport(sentence_count=len(token_lists),
-                       encode=encode_stat,
-                       denoise=denoise_stat,
-                       scaling=scaling, machine=_machine_info())

@@ -78,3 +78,32 @@ def noise_files(draw, dim=None):
             lines[at] = b"\xff" + lines[at]
     content = b"\n".join(lines) + b"\n"
     return content[:draw(st.integers(0, len(content)))] if draw(st.booleans()) else content
+
+
+@st.composite
+def dataset_files(draw, words):
+    """Bytes of an ``eval`` dataset TSV: ``label<TAB>sentence`` rows or
+    ``label<TAB>first<TAB>second`` pair rows over ``words`` and two tokens
+    outside them, so a line or a whole split may be out of vocabulary; then
+    up to three stray lines that may break the format: a row of the other
+    kind or with four fields, a label that is negative, not an integer, has
+    5000 digits or is up to 10**18, an out-of-vocabulary row, a blank line,
+    non-UTF-8 bytes."""
+    vocab = draw(st.sampled_from([words + ["zz", "qq"]] * 3 + [["zz", "qq"]]))
+    sentence = st.lists(st.sampled_from(vocab), min_size=1, max_size=4).map(" ".join)
+    pairs = draw(st.booleans())
+    count = draw(st.integers(0, 50))  # a drawn list length would favor tiny files
+    rows = draw(st.lists(st.tuples(st.integers(0, 2), sentence, sentence),
+                         min_size=count, max_size=count))
+    lines = [(f"{label}\t{first}\t{second}" if pairs else f"{label}\t{first}").encode()
+             for label, first, second in rows]
+    stray = st.one_of(
+        st.sampled_from([b"1\tthe girl\tcake", b"0\tthe girl", b"1\ta\tb\tc",
+                         b"-1\tthe girl", b"1.5\tthe girl", b"x\tthe girl",
+                         b"\tthe girl", b"9" * 5000 + b"\tthe girl",
+                         b"0\tzz qq", b"", b"  ", b"\xff\tthe girl",
+                         b"0\tthe \xff"]),
+        st.integers(3, 10**18).map(lambda label: f"{label}\tthe girl".encode()))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(stray))
+    return b"\n".join(lines) + draw(st.sampled_from([b"", b"\n", b"\r\n"]))

@@ -1,0 +1,44 @@
+import re
+
+import numpy as np
+import pytest
+
+from noppa import EncoderConfig, NoppaError
+from noppa.bench import report
+
+from conftest import random_frequencies, random_table
+
+
+class TestReport:
+    def test_report_lines(self):
+        rng = np.random.default_rng(200)
+        vt = random_table(rng, vocab_size=50, dim=8)
+        ft = random_frequencies(rng, vt)
+        vocab = list(vt.tokens())
+        sentences = [" ".join(vocab[i:i + 5]) for i in range(0, 40, 5)] + ["zzz"]
+        text = report(sentences, vt, ft, EncoderConfig(a=0.05, dim=8), k=2,
+                      repetitions=3, scaling_n=4, scaling_count=20)
+        lines = text.splitlines()
+        assert text.endswith("\n") and len(lines) == 4
+        assert re.fullmatch(r"machine: .* \| python \S+ \| numpy \S+ \| cpu .*",
+                            lines[0])
+        assert lines[1] == "sentences: 8"
+        assert re.fullmatch(r"encode: \d+\.\d{4}s ± \d+\.\d{4}s over 3 reps", lines[2])
+        assert re.fullmatch(
+            r"scaling probe \(n=4 vs 8, 20 sentences\): "
+            r"encode \d+\.\d{4}s -> \d+\.\d{4}s \(ratio \d+\.\d\d\); "
+            r"denoise \d+\.\d{3}ms -> \d+\.\d{3}ms \(ratio \d+\.\d\d\)", lines[3])
+
+    def test_repetition_floor(self):
+        rng = np.random.default_rng(201)
+        vt = random_table(rng, vocab_size=10, dim=4)
+        ft = random_frequencies(rng, vt)
+        with pytest.raises(NoppaError, match="repetitions"):
+            report([], vt, ft, EncoderConfig(a=0.05, dim=4), repetitions=2)
+
+    def test_negative_k(self):
+        rng = np.random.default_rng(202)
+        vt = random_table(rng, vocab_size=10, dim=4)
+        ft = random_frequencies(rng, vt)
+        with pytest.raises(NoppaError, match="k must be >= 0"):
+            report([], vt, ft, EncoderConfig(a=0.05, dim=4), k=-1)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import logging
 import os
 import re
 import subprocess
@@ -11,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 
 import noppa
-from noppa import (EncoderConfig, Pipeline, denoiser, evalkit, lexicon,
-                   load_frequencies, load_vectors)
+from noppa import (EncoderConfig, NoppaError, Pipeline, denoiser, evalkit,
+                   lexicon, load_frequencies, load_vectors)
 from noppa.cli import main
 
-from file_strategies import frequency_files, noise_files
+from file_strategies import dataset_files, frequency_files, noise_files
 
 
 @pytest.fixture
@@ -141,6 +142,17 @@ class TestFitNoise:
         out = tmp / "noise.txt"
         assert run(["fit-noise", "--vectors", vec, "--freq", freq,
                     "-k", "11", "--unsafe-ranges", "--out", str(out), sent]) == 3
+
+    @pytest.mark.parametrize("sub", ["fit-noise", "embed"])
+    def test_negative_k_exit_1(self, world, capsys, sub):
+        # --unsafe-ranges skips the range check, not the k >= 0 rule.
+        tmp, vec, freq, sent = world
+        out = tmp / "out.txt"
+        capsys.readouterr()
+        assert run([sub, "--vectors", vec, "--freq", freq, "-k", "-1",
+                    "--unsafe-ranges", "--out", str(out), sent]) == 1
+        _one_line_error(capsys, "k must be >= 0, got -1")
+        assert not out.exists()
 
     def test_noise_model_changes_embeddings_by_projection(self, world):
         tmp, vec, freq, sent = world
@@ -350,7 +362,7 @@ class TestImports:
     def test_cli_import_leaves_eval_modules_and_hashlib_unloaded(self):
         proc = _python("-c", "import sys, noppa.cli; print(sorted(m for m in "
                        "('noppa.evalkit', 'noppa.analysis', 'noppa.synth', "
-                       "'hashlib') if m in sys.modules))")
+                       "'noppa.bench', 'hashlib') if m in sys.modules))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
@@ -380,6 +392,18 @@ class TestAnalysisCommands:
         out = capsys.readouterr().out
         assert "token,score" in out
 
+    @pytest.mark.parametrize("sub", ["attention", "contrib"])
+    def test_header_k_is_the_applied_models(self, sub, world, capsys):
+        tmp, vec, freq, sent = world
+        tables = ["--vectors", vec, "--freq", freq]
+        assert run([sub, *tables, "-k", "3", "the girl eats cake"]) == 0
+        assert capsys.readouterr().out.startswith("# a=0.05 k=0 use_positions=True\n")
+        noise = tmp / "noise.txt"
+        assert run(["fit-noise", *tables, "-k", "2", "--out", str(noise), sent]) == 0
+        assert run([sub, *tables, "-k", "3", "--noise-model", str(noise),
+                    "the girl eats cake"]) == 0
+        assert capsys.readouterr().out.startswith("# a=0.05 k=2 use_positions=True\n")
+
     def test_weight_curve(self, world, capsys):
         _, _, freq, _ = world
         assert run(["weight-curve", "--freq", freq,
@@ -407,6 +431,18 @@ class TestEvalAndBench:
         assert "dev-best config" in out
         assert "±" in out
         assert len(log.read_text().strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("sub", ["eval", "bench"])
+    def test_negative_k_exit_1(self, world, tmp_path, capsys, sub):
+        tmp, vec, freq, sent = world
+        ds = tmp_path / "toy.tsv"
+        ds.write_text("".join(f"{i % 2}\tgirl eats cake line{i}\n" for i in range(40)))
+        argv = {"eval": ["--unsafe-ranges", "--a-grid", "0.05", "--k-grid", "-1",
+                         "--seeds", "1", str(ds)],
+                "bench": ["-k", "-1", "--sentences", sent]}[sub]
+        capsys.readouterr()
+        assert run([sub, "--vectors", vec, "--freq", freq, *argv]) == 1
+        _one_line_error(capsys, "k must be >= 0, got -1")
 
     def test_unwritable_log_fails_before_embedding(self, world, tmp_path,
                                                    capsys, monkeypatch):
@@ -438,9 +474,88 @@ class TestEvalAndBench:
         _, vec, freq, sent = world
         assert run(["bench", "--vectors", vec, "--freq", freq,
                     "--sentences", sent, "--reps", "3"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("machine:")
-        assert "encode:" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["machine", "sentences", "encode"]
+        assert lines[1] == "sentences: 15"
+
+
+def _eval(vec, freq, dataset):
+    """``noppa eval --k-grid 0 --seeds 1`` run in process -> (exit code,
+    stderr lines), where stderr holds the error lines and the log records
+    that the CLI's ``logging.basicConfig`` would write there."""
+    err = io.StringIO()
+    handler = logging.StreamHandler(err)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    root = logging.getLogger()
+    root.addHandler(handler)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["eval", "--vectors", vec, "--freq", freq, "--k-grid", "0",
+                          "--seeds", "1", "--name", "toy", dataset])
+    finally:
+        root.removeHandler(handler)
+    return code, err.getvalue().splitlines()
+
+
+class TestBadDatasets:
+    """``noppa eval`` on datasets that used to end in a traceback."""
+
+    WORDS = ["the", "girl", "eats", "a", "cake", "dog"]
+
+    @staticmethod
+    def _split_dir(tmp_path, **splits):
+        d = tmp_path / "ds"
+        d.mkdir()
+        for name, rows in splits.items():
+            (d / f"{name}.tsv").write_text("".join(f"{i % 2}\t{row}\n"
+                                                   for i, row in enumerate(rows)))
+        return str(d)
+
+    def test_huge_label(self, world, tmp_path):
+        ds = tmp_path / "toy.tsv"
+        ds.write_text("".join(f"{i % 2}\tgirl eats cake {i}\n" for i in range(40))
+                      + "1000000000000000\tw5 w6\n")
+        assert _eval(*world[1:3], str(ds)) == (1, [
+            "error: toy: label 1000000000000000 implies 1000000000000001 classes, "
+            "more than the 41 labeled rows"])
+
+    def test_all_oov_train(self, world, tmp_path):
+        ds = tmp_path / "toy.tsv"
+        ds.write_text("".join(f"{i % 2}\tzz{i} qq\n" for i in range(40)))
+        assert _eval(*world[1:3], str(ds)) == (1, [
+            "error: toy: no train sentence has an in-vocabulary token"])
+
+    def test_all_oov_test(self, world, tmp_path):
+        ds = self._split_dir(tmp_path, train=[f"girl eats x{i}" for i in range(20)],
+                             test=[f"zz{i} qq" for i in range(5)])
+        assert _eval(*world[1:3], ds) == (1, [
+            "error: toy: no test sentence has an in-vocabulary token"])
+
+    def test_all_oov_dev_falls_back_to_train(self, world, tmp_path):
+        ds = self._split_dir(tmp_path, train=[f"girl eats x{i}" for i in range(20)],
+                             dev=[f"zz{i} qq" for i in range(5)],
+                             test=["girl eats", "dog runs"])
+        assert _eval(*world[1:3], ds) == (0, [
+            "WARNING noppa.evalkit: dropped 5 sentences with no in-vocabulary tokens"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(content=dataset_files(WORDS))
+    def test_fuzz_loads_or_one_error_line(self, content, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        rng = np.random.default_rng(0)
+        (tmp / "vectors.txt").write_text("".join(
+            f"{w} {' '.join(map(str, rng.standard_normal(4)))}\n" for w in self.WORDS))
+        (tmp / "freq.txt").write_text("".join(f"{w}\t{i + 1}\n"
+                                              for i, w in enumerate(self.WORDS)))
+        ds = tmp / "ds.tsv"
+        ds.write_bytes(content)
+        try:
+            evalkit.load_dataset("fuzz", ds)
+        except NoppaError:
+            pass
+        code, err = _eval(str(tmp / "vectors.txt"), str(tmp / "freq.txt"), str(ds))
+        assert code == 0 or (code == 1 and len(err) == 1
+                             and err[0].startswith("error: ")), (code, err)
 
 
 class TestUsage:
@@ -477,9 +592,8 @@ class TestUsage:
                   "--log"},
                  ["--seed", "--jobs", "-a", "-k", "--noise-model", "--out"]),
         "bench": ({"--vectors", "--freq", "-a", "-k", "--no-positions",
-                   "--noise-model", "--seed", "--sentences", "--reps",
-                   "--scale-n", "--scale-count"},
-                  ["--jobs", "--out", "--unsafe-ranges"]),
+                   "--seed", "--sentences", "--reps", "--scale-n", "--scale-count"},
+                  ["--jobs", "--out", "--unsafe-ranges", "--noise-model"]),
     }
 
     @pytest.mark.parametrize("sub", ["embed", "fit-noise", "attention",

@@ -72,6 +72,10 @@ class TestFit:
         with pytest.raises(InfeasibleConfigError):
             denoiser.fit(np.ones((10, 3)), 4)  # k > dim
 
+    def test_negative_k(self):
+        with pytest.raises(NoppaError, match="k must be >= 0, got -1"):
+            denoiser.fit(np.ones((4, 4)), -1)
+
     def test_nonfinite_input(self):
         X = np.ones((4, 4))
         X[2, 2] = np.nan

@@ -6,9 +6,9 @@ import pytest
 from noppa import (EmptySentenceError, EncoderConfig, FormatError,
                    InfeasibleConfigError, NoppaError, TokenSequence,
                    contextual_embeddings, encode, evalkit, sfw, synth)
-from noppa.evalkit import (EmbedderSpec, MLPClassifier, bench_throughput,
-                           encode_batch, grid_search, load_dataset,
-                           pair_features, subset, train_classifier)
+from noppa.evalkit import (EmbedderSpec, MLPClassifier, encode_batch,
+                           grid_search, load_dataset, pair_features, subset,
+                           train_classifier)
 
 from conftest import random_frequencies, random_sentence, random_table
 import oracles
@@ -61,6 +61,26 @@ class TestLoadDataset:
         with pytest.raises(FormatError, match="unknown label token"):
             load_dataset("toy", p)
 
+    def test_inferred_label_count_equal_to_row_count(self, tmp_path):
+        d = tmp_path / "ds"
+        d.mkdir()
+        (d / "train.tsv").write_text("0\ta b\n1\tc d\n")
+        (d / "test.tsv").write_text("2\tg h\n")
+        assert load_dataset("official", d).label_count == 3
+        (d / "test.tsv").write_text("3\tg h\n")
+        with pytest.raises(FormatError, match="label 3 implies 4 classes"):
+            load_dataset("official", d)
+
+    def test_single_and_pair_splits_rejected(self, tmp_path):
+        # Single-sentence train and pair test rows would give classifier
+        # inputs of two widths.
+        d = tmp_path / "ds"
+        d.mkdir()
+        (d / "train.tsv").write_text("0\ta b\n1\tc d\n")
+        (d / "test.tsv").write_text("1\tg h\ti j\n")
+        with pytest.raises(FormatError, match="rows mix single sentences"):
+            load_dataset("official", d)
+
     def test_official_split_directory(self, tmp_path):
         d = tmp_path / "ds"
         d.mkdir()
@@ -90,10 +110,6 @@ class TestEmbedderSpec:
     def test_unknown_variant(self):
         with pytest.raises(NoppaError, match="unknown variant"):
             EmbedderSpec("bogus", EncoderConfig(a=0.05, dim=4))
-
-    def test_non_nr_variant_requires_k_zero(self):
-        with pytest.raises(NoppaError, match="k must be 0"):
-            EmbedderSpec("ce_avg", EncoderConfig(a=0.05, dim=4, k=3))
 
     def test_uniform_and_raw_flags(self):
         cfg = EncoderConfig(a=0.05, dim=4)
@@ -222,8 +238,6 @@ class TestEmbedSplit:
         assert kept == [0]
         np.testing.assert_array_equal(mats[cfg.a][0],
                                       pair_features(*singles[cfg.a]))
-        with pytest.raises(FormatError, match="mixes"):
-            evalkit.embed_split([u, (u, v)], spec, vt, ft)
 
     def test_pair_features(self):
         u = np.array([1.0, 2.0])
@@ -378,30 +392,3 @@ class TestGridSearch:
                          k_grid=[2], seeds=[9])
         assert r1.best.test_accuracy == r2.best.test_accuracy
         assert r1.best.dev_accuracy == r2.best.dev_accuracy
-
-
-class TestBenchThroughput:
-    def test_report_shape(self):
-        rng = np.random.default_rng(200)
-        vt = random_table(rng, vocab_size=50, dim=8)
-        ft = random_frequencies(rng, vt)
-        vocab = list(vt.tokens())
-        sentences = [" ".join(vocab[i:i + 5]) for i in range(0, 40, 5)]
-        cfg = EncoderConfig(a=0.05, dim=8, k=2)
-        report = bench_throughput(sentences, vt, ft, cfg, repetitions=3,
-                                  scaling_n=4, scaling_count=20)
-        assert report.sentence_count == 8
-        assert len(report.encode.times) == 3
-        assert report.encode.mean > 0
-        assert report.encode.stderr >= 0
-        assert report.scaling is not None
-        assert report.scaling.encode_ratio > 0
-        assert "numpy" in report.machine
-
-    def test_repetition_floor(self):
-        rng = np.random.default_rng(201)
-        vt = random_table(rng, vocab_size=10, dim=4)
-        ft = random_frequencies(rng, vt)
-        with pytest.raises(NoppaError, match="repetitions"):
-            bench_throughput([], vt, ft, EncoderConfig(a=0.05, dim=4),
-                             repetitions=2)
