@@ -74,6 +74,8 @@ def report(sentences, vectors: VectorTable, frequencies: FrequencyTable,
         raise NoppaError(f"repetitions must be >= 3, got {repetitions}")
     if k < 0:
         raise NoppaError(f"k must be >= 0, got {k}")
+    if seed < 0:
+        raise NoppaError(f"seed must be >= 0, got {seed}")
     token_lists = [t for t in (tokenize(s, vectors) for s in sentences) if len(t)]
     times, _ = _encode_times(token_lists, vectors, frequencies, config, repetitions)
     lines = [f"machine: {platform.platform()} | python {platform.python_version()} | "

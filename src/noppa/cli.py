@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -81,8 +82,9 @@ def _open_input(path: str, directory_ok: bool = False) -> str:
 
 
 def _build_pipeline(args) -> Pipeline:
+    k = getattr(args, "k", 0)  # attention and contrib take k from --noise-model
     if not args.unsafe_ranges:
-        check_ranges([args.a], [args.k])
+        check_ranges([args.a], [k])
     vectors = load_vectors(_open_input(args.vectors))
     frequencies = load_frequencies(_open_input(args.freq))
     noise = None
@@ -90,8 +92,8 @@ def _build_pipeline(args) -> Pipeline:
         noise = denoiser.load(_open_input(args.noise_model))
     config = EncoderConfig(a=args.a, dim=vectors.dim,
                            use_positions=not args.no_positions)
-    if args.k < 0:  # read by fit-noise; refused for every subcommand alike
-        raise NoppaError(f"k must be >= 0, got {args.k}")
+    if k < 0:  # read by fit-noise; refused for embed alike
+        raise NoppaError(f"k must be >= 0, got {k}")
     return Pipeline(vectors=vectors, frequencies=frequencies,
                     config=config, noise=noise)
 
@@ -154,10 +156,14 @@ def cmd_contrib(args) -> int:
 
 
 def _parse_grid(text: str, cast):
+    """One or more finite comma-separated numbers."""
     try:
-        return [cast(v) for v in text.split(",") if v != ""]
+        values = [cast(v) for v in text.split(",") if v != ""]
     except ValueError:
-        raise NoppaError(f"cannot parse grid {text!r}") from None
+        values = []
+    if not values or not all(map(math.isfinite, values)):
+        raise NoppaError(f"cannot parse grid {text!r}")
+    return values
 
 
 def cmd_weight_curve(args) -> int:
@@ -224,16 +230,16 @@ def build_parser() -> _Parser:
                      description="Non-parametric sentence embeddings")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pipeline_flags = ("--vectors", "--freq", "-a", "-k", "--no-positions",
+    pipeline_flags = ("--vectors", "--freq", "-a", "--no-positions",
                       "--unsafe-ranges")
 
     p = sub.add_parser("embed", help="embed a sentences file to CSV")
-    _add_flags(p, *pipeline_flags, "--noise-model", "--out")
+    _add_flags(p, *pipeline_flags, "-k", "--noise-model", "--out")
     p.add_argument("sentences", help="input file, one sentence per line")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("fit-noise", help="fit and save a noise model")
-    _add_flags(p, *pipeline_flags, "--out")
+    _add_flags(p, *pipeline_flags, "-k", "--out")
     p.add_argument("sentences", help="training sentences, one per line")
     p.set_defaults(func=cmd_fit_noise)
 

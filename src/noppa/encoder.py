@@ -41,7 +41,7 @@ class EncoderConfig:
 A_RANGE = (0.01, 0.15)
 K_RANGE = (0, 24)
 
-# The embedders ``eval --variant`` compares (``evalkit.EmbedderSpec``).
+# The embedders ``eval --variant`` compares (``evalkit.embed_split``).
 VARIANTS = ("noppa", "ce_avg", "ce_avg_nr", "ce_sfw", "glove_avg", "freq_weighted_avg")
 
 

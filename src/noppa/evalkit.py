@@ -14,7 +14,7 @@ import hashlib
 import logging
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,26 +71,6 @@ class EvalResult:
                 f"{self.embed_seconds * 1e3:.1f},{self.train_seconds * 1e3:.1f}")
 
 
-@dataclass(frozen=True)
-class EmbedderSpec:
-    """A named ablation variant plus its encoder configuration."""
-
-    variant: str
-    config: EncoderConfig
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise NoppaError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-
-    @property
-    def uniform_weights(self) -> bool:
-        return self.variant in _UNIFORM_VARIANTS
-
-    @property
-    def raw_average(self) -> bool:
-        return self.variant in _RAW_VARIANTS
-
-
 def _bucket(sentence: str) -> int:
     digest = hashlib.sha1(sentence.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % 10
@@ -121,18 +101,17 @@ def _read_tsv(path) -> list[tuple[object, str]]:
             for lineno, line in read_lines(path) if line.strip()]
 
 
-def _coerce_labels(rows: list[tuple[object, str]], label_count: int | None,
+def _coerce_labels(rows: list[tuple[object, str]],
                    name: str) -> list[tuple[object, int]]:
     out = []
     for sentence, token in rows:
         try:
             label = int(token)
         except ValueError:
-            raise FormatError(f"{name}: unknown label token {token!r}") from None
+            label = -1  # reported below as an unknown token
         if label < 0:
-            raise FormatError(f"{name}: unknown label token {token!r}")
-        if label_count is not None and label >= label_count:
-            raise FormatError(f"{name}: label {label} outside [0, {label_count})")
+            shown = token if len(token) <= 40 else token[:37] + "..."
+            raise FormatError(f"{name}: unknown label token {shown!r}")
         out.append((sentence, label))
     return out
 
@@ -148,25 +127,24 @@ def _inferred_label_count(labels: list[int], name: str) -> int:
     return count
 
 
-def load_dataset(name: str, path, label_count: int | None = None) -> LabeledDataset:
+def load_dataset(name: str, path) -> LabeledDataset:
     """Load a labeled dataset.
 
     ``path`` may be a single ``label<TAB>sentence`` TSV (split assignment is
     then the sha1 hash of the sentence mod 10: buckets 0-7 train, 8 dev,
     9 test), or a directory with official ``train.tsv``/``dev.tsv``/
     ``test.tsv`` files.  Pair tasks use a third tab-separated column.
-    Without ``label_count`` the labels are 0 .. max(label).
+    The labels are 0 .. max(label).
     """
     if os.path.isdir(path):
         splits = []
         for split in ("train", "dev", "test"):
             split_path = os.path.join(path, f"{split}.tsv")
             rows = _read_tsv(split_path) if os.path.exists(split_path) else []
-            splits.append(_coerce_labels(rows, label_count, name))
+            splits.append(_coerce_labels(rows, name))
     else:
-        splits = _hash_split(_coerce_labels(_read_tsv(path), label_count, name))
-    if label_count is None:
-        label_count = _inferred_label_count([l for s in splits for _, l in s], name)
+        splits = _hash_split(_coerce_labels(_read_tsv(path), name))
+    label_count = _inferred_label_count([l for s in splits for _, l in s], name)
     return LabeledDataset(name, *splits, label_count=label_count)
 
 
@@ -184,14 +162,16 @@ def load_polarity_pair(name: str, pos_path, neg_path) -> LabeledDataset:
 
 def subset(dataset: LabeledDataset, train_limit: int | None = None,
            dev_limit: int | None = None, test_limit: int | None = None) -> LabeledDataset:
-    """Deterministic prefix subset of each split."""
-    return LabeledDataset(
-        name=dataset.name,
-        train=dataset.train[:train_limit] if train_limit else dataset.train,
-        dev=dataset.dev[:dev_limit] if dev_limit else dataset.dev,
-        test=dataset.test[:test_limit] if test_limit else dataset.test,
-        label_count=dataset.label_count,
-    )
+    """Deterministic prefix subset of each split; a limit of None or 0
+    keeps the whole split."""
+    splits = {}
+    for split, limit in (("train", train_limit), ("dev", dev_limit),
+                         ("test", test_limit)):
+        if limit is not None and limit < 0:
+            raise NoppaError(f"{split} limit must be >= 0, got {limit}")
+        rows = getattr(dataset, split)
+        splits[split] = rows[:limit] if limit else rows
+    return replace(dataset, **splits)
 
 
 def pair_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -233,17 +213,17 @@ def encode_batch(token_lists: list[TokenSequence], vectors: VectorTable,
     return out
 
 
-def embed_split(sentences, spec: EmbedderSpec, vectors: VectorTable,
-                frequencies: FrequencyTable,
+def embed_split(sentences, variant: str, config: EncoderConfig,
+                vectors: VectorTable, frequencies: FrequencyTable,
                 a_values: list[float] | None = None):
     """Embed a list of sentences (all str or all pairs, as
-    ``LabeledDataset`` checks) for each a in ``a_values``.
+    ``LabeledDataset`` checks) with ``variant`` for each a in ``a_values``.
 
     Returns (dict a -> (l x D) matrix, kept_indices).  Sentences whose
     tokens are all out of vocabulary are dropped; ``kept_indices`` lists
     the others.
     """
-    a_values = a_values if a_values is not None else [spec.config.a]
+    a_values = a_values if a_values is not None else [config.a]
     kept: list[int] = []
     token_lists: list[list[TokenSequence]] = []
     for i, sentence in enumerate(sentences):
@@ -255,9 +235,9 @@ def embed_split(sentences, spec: EmbedderSpec, vectors: VectorTable,
     if not kept:
         return {a: np.zeros((0, 0)) for a in a_values}, kept
     # One matrix per part: the sentence itself, or the two halves of a pair.
-    weights = None if spec.uniform_weights else frequencies
-    embedded = [encode_batch(part, vectors, weights, spec.config, a_values,
-                             raw=spec.raw_average)
+    weights = None if variant in _UNIFORM_VARIANTS else frequencies
+    embedded = [encode_batch(part, vectors, weights, config, a_values,
+                             raw=variant in _RAW_VARIANTS)
                 for part in zip(*token_lists)]
     if len(embedded) == 1:
         return embedded[0], kept
@@ -443,23 +423,24 @@ def evaluate_runs(dataset: LabeledDataset, vectors: VectorTable,
     """
     if fit_on not in ("train", "train+test"):
         raise NoppaError(f"fit_on must be 'train' or 'train+test', got {fit_on!r}")
+    if variant not in VARIANTS:
+        raise NoppaError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     a_values = sorted(set(float(a) for a in a_grid))
     k_values = sorted(set(int(k) for k in k_grid))
-    uniform = variant in _UNIFORM_VARIANTS
     if variant not in _NR_VARIANTS:
         k_values = [0]
-    if uniform:
+    if variant in _UNIFORM_VARIANTS:
         a_values = [a_values[0]]  # weights are constant 1; a is inert
 
     # The log opens before any embedding, so an unwritable path fails first.
     with (open(log_path, "a", encoding="utf-8") if log_path is not None
           else contextlib.nullcontext()) as log:
         t0 = time.perf_counter()
-        spec = EmbedderSpec(variant, EncoderConfig(
-            a=a_values[0], dim=vectors.dim, use_positions=use_positions))
+        config = EncoderConfig(a=a_values[0], dim=vectors.dim,
+                               use_positions=use_positions)
         splits = (dataset.train, dataset.dev, dataset.test)
-        embedded = [embed_split([s for s, _ in split], spec, vectors, frequencies,
-                                a_values) for split in splits]
+        embedded = [embed_split([s for s, _ in split], variant, config, vectors,
+                                frequencies, a_values) for split in splits]
         embed_seconds = time.perf_counter() - t0
         # Checked before the drop warnings, so a failure prints one line.
         # A dev split with nothing left falls back to train accuracy.
@@ -467,10 +448,10 @@ def evaluate_runs(dataset: LabeledDataset, vectors: VectorTable,
             if not kept:
                 raise FormatError(f"{dataset.name}: no {name} sentence has an "
                                   "in-vocabulary token")
-        for split, (_, kept) in zip(splits, embedded):
+        for name, split, (_, kept) in zip(("train", "dev", "test"), splits, embedded):
             if len(kept) < len(split):
-                logger.warning("dropped %d sentences with no in-vocabulary tokens",
-                               len(split) - len(kept))
+                logger.warning("dropped %d %s sentences with no in-vocabulary "
+                               "tokens", len(split) - len(kept), name)
         train_m, dev_m, test_m = (m for m, _ in embedded)
         train_y, dev_y, test_y = (np.array([split[i][1] for i in kept])
                                   for split, (_, kept) in zip(splits, embedded))
@@ -508,7 +489,7 @@ def evaluate_runs(dataset: LabeledDataset, vectors: VectorTable,
 
 def grid_search(dataset: LabeledDataset, vectors: VectorTable,
                 frequencies: FrequencyTable, a_grid: list[float],
-                k_grid: list[int], seeds: list[int] | None = None,
+                k_grid: list[int], seeds: list[int],
                 variant: str = "noppa", use_positions: bool = True,
                 fit_on: str = "train", enforce_ranges: bool = True,
                 log_path=None) -> GridSearchResult:
@@ -520,7 +501,8 @@ def grid_search(dataset: LabeledDataset, vectors: VectorTable,
     """
     if enforce_ranges:
         check_ranges(a_grid, k_grid)
-    seeds = list(seeds) if seeds else [1034]
+    if min(seeds, default=-1) < 0:
+        raise NoppaError(f"seeds must be one or more integers >= 0, got {seeds}")
     runs = evaluate_runs(dataset, vectors, frequencies, variant, a_grid,
                          k_grid, seeds, use_positions=use_positions,
                          fit_on=fit_on, log_path=log_path)

@@ -47,7 +47,6 @@ class VectorTable:
     matrix: np.ndarray  # (vocab_size, dim) float32, read-only
     index: dict[str, int]
     source_hash: str | None = None
-    parsed_lines: int = 0
 
     @property
     def vocab_size(self) -> int:
@@ -84,8 +83,7 @@ class VectorTable:
         if len(dims) != 1:
             raise FormatError(f"inconsistent vector dimensions: {sorted(dims)}")
         matrix.setflags(write=False)
-        return cls(dim=matrix.shape[1], matrix=matrix, index=index,
-                   parsed_lines=len(rows))
+        return cls(dim=matrix.shape[1], matrix=matrix, index=index)
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,7 @@ def read_lines(path):
         raise
 
 
-def load_vectors(path, expected_dim: int | None = None) -> VectorTable:
+def load_vectors(path) -> VectorTable:
     """Load a plain-text vector file (``token f1 f2 ... fd`` per line).
 
     Duplicate tokens keep their first occurrence.  Every line must carry the
@@ -173,11 +171,10 @@ def load_vectors(path, expected_dim: int | None = None) -> VectorTable:
     entry = _entry_path(digest)
     if os.path.isdir(entry):
         table = _read_entry(entry, digest)
-        if expected_dim in (None, table.dim):
-            logger.info("vector cache hit: %s (%.3f s, %s)", entry,
-                        time.perf_counter() - start, how)
-            return table
-    table = _parse_vectors(path, expected_dim)
+        logger.info("vector cache hit: %s (%.3f s, %s)", entry,
+                    time.perf_counter() - start, how)
+        return table
+    table = _parse_vectors(path)
     # The bytes parsed may differ from the bytes hashed above if the file
     # changed in between, so the entry is keyed by the parse's own hash.
     entry = _entry_path(table.source_hash)
@@ -291,15 +288,15 @@ def _is_header(head) -> bool:
             and len(head[1][1]) - 1 == dim)
 
 
-def _parse_vectors(path, expected_dim: int | None) -> VectorTable:
-    """The text parser behind ``load_vectors``; a header line is not counted
-    in ``parsed_lines`` and its count must equal the vector lines."""
+def _parse_vectors(path) -> VectorTable:
+    """The text parser behind ``load_vectors``; a header's count must equal
+    the number of vector lines after it."""
     import hashlib
 
     sha = hashlib.sha256()
     index: dict[str, int] = {}
     rows: list[np.ndarray] = []
-    dim: int | None = expected_dim
+    dim: int | None = None
     parsed = 0
     # A component beyond float32 range casts to inf, which the isfinite check
     # below reports as one error line; numpy's overflow warning would add two.
@@ -336,13 +333,13 @@ def _parse_vectors(path, expected_dim: int | None) -> VectorTable:
     logger.info("loaded %d vectors (dim=%d, %d lines parsed) from %s",
                 len(rows), dim, parsed, path)
     return VectorTable(dim=int(dim), matrix=matrix, index=index,
-                       source_hash=sha.hexdigest(), parsed_lines=parsed)
+                       source_hash=sha.hexdigest())
 
 
-# Version of the parsed format behind a cache entry; a change to the parser
-# changes it, so an entry written by an older parser is never read.
-CACHE_VERSION = 1
-_MATRIX, _TOKENS, _META = "matrix.npy", "tokens.txt", "meta.json"
+# Version of a cache entry's layout and of the parser behind it; a change to
+# either changes it, so an entry written by older code is never read.
+CACHE_VERSION = 2
+_MATRIX, _TOKENS = "matrix.npy", "tokens.txt"
 
 
 def cache_root() -> str:
@@ -372,10 +369,6 @@ def _write_entry(entry: str, table: VectorTable) -> None:
         np.save(os.path.join(tmp, _MATRIX), table.matrix)
         with open(os.path.join(tmp, _TOKENS), "wb") as fh:
             fh.write("\n".join(table.index).encode("utf-8"))
-        with open(os.path.join(tmp, _META), "w", encoding="utf-8") as fh:
-            json.dump({"version": CACHE_VERSION, "dim": table.dim,
-                       "rows": table.vocab_size,
-                       "parsed_lines": table.parsed_lines}, fh)
         try:
             os.rename(tmp, entry)
         except OSError:
@@ -393,24 +386,18 @@ def _read_entry(entry: str, digest: str) -> VectorTable:
                            f"remove it to rebuild")
 
     try:
-        with open(os.path.join(entry, _META), encoding="utf-8") as fh:
-            meta = json.load(fh)
         with open(os.path.join(entry, _TOKENS), "rb") as fh:
             tokens = fh.read().decode("utf-8").split("\n")
         matrix = np.asarray(np.load(os.path.join(entry, _MATRIX), mmap_mode="r"))
-    except (OSError, EOFError, ValueError) as exc:  # bad JSON, UTF-8 or .npy
+    except (OSError, EOFError, ValueError) as exc:  # bad UTF-8 or .npy
         raise corrupted(" ".join(str(exc).split())) from None
     index = dict(zip(tokens, range(len(tokens))))
-    if not (isinstance(meta, dict) and meta.get("version") == CACHE_VERSION
-            and matrix.dtype == np.float32 and matrix.flags.c_contiguous
-            and matrix.shape == (meta.get("rows"), meta.get("dim"))
-            and len(index) == len(tokens) == matrix.shape[0]
-            and isinstance(meta.get("parsed_lines"), int)):
+    if not (matrix.dtype == np.float32 and matrix.flags.c_contiguous
+            and matrix.ndim == 2 and len(index) == len(tokens) == matrix.shape[0]):
         raise corrupted(f"matrix {matrix.dtype} {matrix.shape}, "
-                        f"{len(tokens)} tokens, {len(index)} distinct, "
-                        f"meta {json.dumps(meta)}")
+                        f"{len(tokens)} tokens, {len(index)} distinct")
     return VectorTable(dim=matrix.shape[1], matrix=matrix, index=index,
-                       source_hash=digest, parsed_lines=meta["parsed_lines"])
+                       source_hash=digest)
 
 
 def save_vectors(table: VectorTable, path) -> None:

@@ -22,9 +22,6 @@ class Pipeline:
     config: EncoderConfig
     noise: NoiseModel | None = None
 
-    def tokens(self, raw: str) -> TokenSequence:
-        return tokenize(raw, self.vectors)
-
     def embed(
         self,
         raw: str,
@@ -32,7 +29,7 @@ class Pipeline:
         denoise: bool = True,
     ) -> tuple[TokenSequence, SentenceEmbedding]:
         """Tokenize and embed one sentence; applies the noise model if present."""
-        toks = self.tokens(raw)
+        toks = tokenize(raw, self.vectors)
         emb = encode(toks, self.vectors, self.frequencies, self.config,
                      diagnostics=diagnostics)
         if denoise and self.noise is not None:

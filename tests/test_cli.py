@@ -396,11 +396,11 @@ class TestAnalysisCommands:
     def test_header_k_is_the_applied_models(self, sub, world, capsys):
         tmp, vec, freq, sent = world
         tables = ["--vectors", vec, "--freq", freq]
-        assert run([sub, *tables, "-k", "3", "the girl eats cake"]) == 0
+        assert run([sub, *tables, "the girl eats cake"]) == 0
         assert capsys.readouterr().out.startswith("# a=0.05 k=0 use_positions=True\n")
         noise = tmp / "noise.txt"
         assert run(["fit-noise", *tables, "-k", "2", "--out", str(noise), sent]) == 0
-        assert run([sub, *tables, "-k", "3", "--noise-model", str(noise),
+        assert run([sub, *tables, "--noise-model", str(noise),
                     "the girl eats cake"]) == 0
         assert capsys.readouterr().out.startswith("# a=0.05 k=2 use_positions=True\n")
 
@@ -479,6 +479,48 @@ class TestEvalAndBench:
         assert lines[1] == "sentences: 15"
 
 
+class TestBadNumbers:
+    """Malformed numbers on the command line: exit 1 and one error line."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--k-grid", ""], "cannot parse grid ''"),
+        (["--a-grid", ""], "cannot parse grid ''"),
+        (["--seeds", ""], "cannot parse grid ''"),
+        (["--seeds", ",,"], "cannot parse grid ',,'"),
+        (["--a-grid", "0.05,nan"], "cannot parse grid '0.05,nan'"),
+        (["--unsafe-ranges", "--a-grid", "inf"], "cannot parse grid 'inf'"),
+        (["--seeds", "-1"], "seeds must be one or more integers >= 0, got [-1]"),
+        (["--train-limit", "-150"], "train limit must be >= 0, got -150"),
+        (["--test-limit", "-1"], "test limit must be >= 0, got -1"),
+    ], ids=["empty-k-grid", "empty-a-grid", "empty-seeds", "commas-seeds",
+            "nan-a", "inf-a-unsafe", "negative-seed", "negative-train-limit",
+            "negative-test-limit"])
+    def test_eval(self, world, tmp_path, capsys, argv, message):
+        _, vec, freq, _ = world
+        ds = tmp_path / "toy.tsv"
+        ds.write_text("".join(f"{i % 2}\tgirl eats cake x{i}\n" for i in range(40)))
+        capsys.readouterr()
+        assert run(["eval", "--vectors", vec, "--freq", freq, "--a-grid", "0.05",
+                    "--k-grid", "0", "--seeds", "1", *argv, str(ds)]) == 1
+        _one_line_error(capsys, message)
+
+    def test_bench_negative_seed(self, world, capsys):
+        _, vec, freq, _ = world
+        capsys.readouterr()
+        assert run(["bench", "--vectors", vec, "--freq", freq, "--seed", "-1",
+                    "--scale-n", "3", "--scale-count", "4"]) == 1
+        _one_line_error(capsys, "seed must be >= 0, got -1")
+
+    def test_weight_curve_infinite_a(self, world, capsys):
+        _, _, freq, _ = world
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["weight-curve", "--freq", freq, "--group", "stop=the,a",
+                        "--a-grid", "inf,1"]) == 1
+        _one_line_error(capsys, "cannot parse grid 'inf,1'")
+
+
 def _eval(vec, freq, dataset):
     """``noppa eval --k-grid 0 --seeds 1`` run in process -> (exit code,
     stderr lines), where stderr holds the error lines and the log records
@@ -536,7 +578,15 @@ class TestBadDatasets:
                              dev=[f"zz{i} qq" for i in range(5)],
                              test=["girl eats", "dog runs"])
         assert _eval(*world[1:3], ds) == (0, [
-            "WARNING noppa.evalkit: dropped 5 sentences with no in-vocabulary tokens"])
+            "WARNING noppa.evalkit: dropped 5 dev sentences with no "
+            "in-vocabulary tokens"])
+
+    def test_long_label_token_is_shortened(self, world, tmp_path):
+        ds = tmp_path / "toy.tsv"
+        ds.write_text("".join(f"{i % 2}\tgirl eats cake {i}\n" for i in range(40))
+                      + "9" * 5000 + "\tgirl\n")
+        code, err = _eval(*world[1:3], str(ds))
+        assert (code, err) == (1, [f"error: toy: unknown label token '{'9' * 37}...'"])
 
     @settings(max_examples=100, deadline=None)
     @given(content=dataset_files(WORDS))
@@ -579,12 +629,12 @@ class TestUsage:
         "fit-noise": ({"--vectors", "--freq", "-a", "-k", "--no-positions",
                        "--unsafe-ranges", "--out"},
                       ["--seed", "--jobs", "--noise-model"]),
-        "attention": ({"--vectors", "--freq", "-a", "-k", "--no-positions",
+        "attention": ({"--vectors", "--freq", "-a", "--no-positions",
                        "--unsafe-ranges", "--noise-model", "--out"},
-                      ["--seed", "--jobs"]),
-        "contrib": ({"--vectors", "--freq", "-a", "-k", "--no-positions",
+                      ["--seed", "--jobs", "-k"]),
+        "contrib": ({"--vectors", "--freq", "-a", "--no-positions",
                      "--unsafe-ranges", "--noise-model", "--out", "--pre-denoise"},
-                    ["--seed", "--jobs"]),
+                    ["--seed", "--jobs", "-k"]),
         "weight-curve": ({"--freq", "--out", "--group", "--a-grid"}, []),
         "eval": ({"--vectors", "--freq", "--no-positions", "--unsafe-ranges",
                   "--name", "--variant", "--a-grid", "--k-grid", "--seeds",

@@ -6,7 +6,7 @@ import pytest
 from noppa import (EmptySentenceError, EncoderConfig, FormatError,
                    InfeasibleConfigError, NoppaError, TokenSequence,
                    contextual_embeddings, encode, evalkit, sfw, synth)
-from noppa.evalkit import (EmbedderSpec, MLPClassifier, encode_batch,
+from noppa.evalkit import (MLPClassifier, encode_batch,
                            grid_search, load_dataset, pair_features, subset,
                            train_classifier)
 
@@ -48,12 +48,6 @@ class TestLoadDataset:
         assert first.train == second.train
         assert first.dev == second.dev
         assert first.test == second.test
-
-    def test_label_outside_count(self, tmp_path):
-        p = tmp_path / "toy.tsv"
-        p.write_text("3\thello there\n0\tanother line\n")
-        with pytest.raises(FormatError, match="outside"):
-            load_dataset("toy", p, label_count=2)
 
     def test_unknown_label_token(self, tmp_path):
         p = tmp_path / "toy.tsv"
@@ -104,19 +98,8 @@ class TestLoadDataset:
         p.write_text("\n".join(lines) + "\n")
         ds = subset(load_dataset("toy", p), train_limit=5, test_limit=2)
         assert len(ds.train) == 5 and len(ds.test) == 2
-
-
-class TestEmbedderSpec:
-    def test_unknown_variant(self):
-        with pytest.raises(NoppaError, match="unknown variant"):
-            EmbedderSpec("bogus", EncoderConfig(a=0.05, dim=4))
-
-    def test_uniform_and_raw_flags(self):
-        cfg = EncoderConfig(a=0.05, dim=4)
-        assert EmbedderSpec("ce_avg", cfg).uniform_weights
-        assert not EmbedderSpec("ce_sfw", cfg).uniform_weights
-        assert EmbedderSpec("glove_avg", cfg).raw_average
-        assert not EmbedderSpec("noppa", cfg).raw_average
+        with pytest.raises(NoppaError, match="dev limit must be >= 0, got -1"):
+            subset(ds, dev_limit=-1)
 
 
 class TestEncodeBatch:
@@ -194,16 +177,14 @@ class TestEmbedSplit:
         vt, ft, cfg = tiny_world
         vocab = list(vt.tokens())
         sentences = [" ".join(vocab[:4]), " ".join(vocab[4:7])]
-        spec = EmbedderSpec("glove_avg", cfg)
-        mats, kept = evalkit.embed_split(sentences, spec, vt, ft)
+        mats, kept = evalkit.embed_split(sentences, "glove_avg", cfg, vt, ft)
         assert mats[cfg.a].shape == (2, vt.dim)
         assert kept == [0, 1]
 
     def test_contextual_variant_dimension(self, tiny_world):
         vt, ft, cfg = tiny_world
         vocab = list(vt.tokens())
-        spec = EmbedderSpec("noppa", cfg)
-        mats, _ = evalkit.embed_split([" ".join(vocab[:5])], spec, vt, ft,
+        mats, _ = evalkit.embed_split([" ".join(vocab[:5])], "noppa", cfg, vt, ft,
                                       a_values=[0.01, 0.1])
         assert set(mats) == {0.01, 0.1}
         assert mats[0.01].shape == (1, 2 * vt.dim)
@@ -211,10 +192,9 @@ class TestEmbedSplit:
 
     def test_all_oov_sentences_dropped(self, tiny_world):
         vt, ft, cfg = tiny_world
-        spec = EmbedderSpec("noppa", cfg)
         vocab = list(vt.tokens())
         mats, kept = evalkit.embed_split(
-            ["zzz qqq", " ".join(vocab[:3])], spec, vt, ft)
+            ["zzz qqq", " ".join(vocab[:3])], "noppa", cfg, vt, ft)
         assert kept == [1]
         assert mats[cfg.a].shape[0] == 1
 
@@ -222,19 +202,18 @@ class TestEmbedSplit:
         vt, ft, cfg = tiny_world
         vocab = list(vt.tokens())
         sentence = " ".join(vocab[:6])
-        spec_u = EmbedderSpec("ce_avg", EncoderConfig(a=0.05, dim=vt.dim))
-        mats, _ = evalkit.embed_split([sentence], spec_u, vt, ft)
+        cfg_u = EncoderConfig(a=0.05, dim=vt.dim)
+        mats, _ = evalkit.embed_split([sentence], "ce_avg", cfg_u, vt, ft)
         from noppa import contextual_embeddings, tokenize
-        per_word, _ = contextual_embeddings(tokenize(sentence, vt), vt, spec_u.config)
+        per_word, _ = contextual_embeddings(tokenize(sentence, vt), vt, cfg_u)
         np.testing.assert_allclose(mats[0.05][0], per_word.mean(axis=0), atol=1e-12)
 
     def test_pairs_and_mixed_arity(self, tiny_world):
         vt, ft, cfg = tiny_world
-        spec = EmbedderSpec("noppa", cfg)
         vocab = list(vt.tokens())
         u, v = " ".join(vocab[:3]), " ".join(vocab[3:7])
-        mats, kept = evalkit.embed_split([(u, v), (u, "zzz")], spec, vt, ft)
-        singles, _ = evalkit.embed_split([u, v], spec, vt, ft)
+        mats, kept = evalkit.embed_split([(u, v), (u, "zzz")], "noppa", cfg, vt, ft)
+        singles, _ = evalkit.embed_split([u, v], "noppa", cfg, vt, ft)
         assert kept == [0]
         np.testing.assert_array_equal(mats[cfg.a][0],
                                       pair_features(*singles[cfg.a]))
@@ -383,6 +362,19 @@ class TestGridSearch:
         assert fields[0] == "synthetic-topics"
         assert fields[1] == "noppa"
         assert len(fields) == 9
+
+    @pytest.mark.parametrize("seeds", [[], [3, -1]])
+    def test_seeds_non_empty_and_non_negative(self, seeds):
+        lex, ds = toy_grid_dataset()
+        with pytest.raises(NoppaError, match="seeds must be one or more"):
+            grid_search(ds, lex.vectors, lex.frequencies, a_grid=[0.05],
+                        k_grid=[0], seeds=seeds)
+
+    def test_unknown_variant(self):
+        lex, ds = toy_grid_dataset()
+        with pytest.raises(NoppaError, match="unknown variant 'bogus'"):
+            grid_search(ds, lex.vectors, lex.frequencies, a_grid=[0.05],
+                        k_grid=[0], seeds=[3], variant="bogus")
 
     def test_deterministic_across_calls(self):
         lex, ds = toy_grid_dataset()

@@ -1,5 +1,6 @@
 import builtins
 import hashlib
+import io
 import json
 import logging
 import os
@@ -21,6 +22,12 @@ from file_strategies import frequency_files, token_strategy
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
 
 
 class TestLoadVectors:
@@ -61,14 +68,7 @@ class TestLoadVectors:
         write_lines(p, ["tok 1 2", "tok 3 4"])
         table = load_vectors(p)
         assert table.vocab_size == 1
-        assert table.parsed_lines == 2
         np.testing.assert_allclose(table.get("tok"), [1, 2])
-
-    def test_expected_dim_enforced(self, tmp_path):
-        p = tmp_path / "vec.txt"
-        write_lines(p, ["tok 1 2 3"])
-        with pytest.raises(FormatError, match="dim mismatch"):
-            load_vectors(p, expected_dim=4)
 
     def test_missing_token_is_none(self, tmp_path):
         p = tmp_path / "vec.txt"
@@ -85,7 +85,6 @@ class TestLoadVectors:
         plain = tmp_path / "plain.txt"
         write_lines(plain, ["a 1 2", "b 3 4", "a 5 6"])
         assert_same_table(table, load_vectors(plain), same_source=False)
-        assert table.parsed_lines == 3
 
     def test_word2vec_header_count_mismatch(self, tmp_path):
         p = tmp_path / "vec.txt"
@@ -98,7 +97,7 @@ class TestLoadVectors:
         p = tmp_path / "vec.txt"
         write_lines(p, ["2 1", "a 5"])
         table = load_vectors(p)
-        assert table.dim == 1 and table.parsed_lines == 2
+        assert table.dim == 1 and table.vocab_size == 2
         np.testing.assert_array_equal(table.get("2"), [1])
 
     def test_two_integers_without_matching_line_are_a_vector(self, tmp_path):
@@ -116,45 +115,46 @@ def assert_same_table(a, b, same_source=True):
     assert a.matrix.shape == b.matrix.shape
     assert a.matrix.view(np.uint32).tobytes() == b.matrix.view(np.uint32).tobytes()
     assert list(a.index.items()) == list(b.index.items())
-    assert a.parsed_lines == b.parsed_lines
     if same_source:
         assert a.source_hash == b.source_hash
 
 
 class TestVectorCache:
-    @pytest.mark.parametrize("lines,expected_dim", [
-        (["alpha 0.1 -2.5e-3 3", "beta 1 2 3"], None),
-        (["", "tok 1 2 3", "  ", "tok 4 5 6", "other -0 1e-30 7", ""], 3),
-        (["2 3", "a 1 2 3", "b 4 5 6"], None),
-    ], ids=["plain", "duplicates-blanks-expected-dim", "word2vec-header"])
-    def test_hit_bitwise_equal_to_miss(self, tmp_path, vector_cache, lines,
-                                       expected_dim):
+    @pytest.mark.parametrize("lines", [
+        ["alpha 0.1 -2.5e-3 3", "beta 1 2 3"],
+        ["", "tok 1 2 3", "  ", "tok 4 5 6", "other -0 1e-30 7", ""],
+        ["2 3", "a 1 2 3", "b 4 5 6"],
+    ], ids=["plain", "duplicates-blanks", "word2vec-header"])
+    def test_hit_bitwise_equal_to_miss(self, tmp_path, vector_cache, lines):
         p = tmp_path / "vec.txt"
         write_lines(p, lines)
-        reference = lexicon._parse_vectors(p, expected_dim)
-        miss = load_vectors(p, expected_dim=expected_dim)
+        reference = lexicon._parse_vectors(p)
+        miss = load_vectors(p)
         entry = lexicon._entry_path(miss.source_hash)
         assert os.path.isdir(entry)
-        hit = load_vectors(p, expected_dim=expected_dim)
+        hit = load_vectors(p)
         assert_same_table(miss, reference)
         assert_same_table(hit, reference)
         assert type(hit.matrix) is np.ndarray  # a view, not an np.memmap
         assert not hit.matrix.flags.writeable
 
-    def test_expected_dim_differing_from_entry_gives_text_error(self, tmp_path):
+    def test_entry_holds_matrix_and_tokens(self, tmp_path, vector_cache):
         p = tmp_path / "vec.txt"
-        write_lines(p, ["tok 1 2 3"])
-        load_vectors(p)
-        with pytest.raises(FormatError, match="dim mismatch at line 1"):
-            load_vectors(p, expected_dim=4)
+        write_lines(p, ["alpha 1 2 3", "beta 4 5 6", "alpha 7 8 9"])
+        table = load_vectors(p)
+        entry = lexicon._entry_path(table.source_hash)
+        assert os.path.basename(entry) == f"vectors-v2-{table.source_hash}"
+        assert sorted(os.listdir(entry)) == ["matrix.npy", "tokens.txt"]
+        with open(os.path.join(entry, "tokens.txt"), "rb") as fh:
+            assert fh.read() == b"alpha\nbeta"
 
     @pytest.mark.parametrize("part,damage", [
         ("matrix.npy", lambda b: b[:-4]),
         ("matrix.npy", lambda b: b""),
         ("tokens.txt", lambda b: b + b"\nextra"),
         ("tokens.txt", lambda b: b.replace(b"beta", b"alpha")),
-        ("meta.json", lambda b: b.replace(b'"dim": 3', b'"dim": 4')),
-        ("meta.json", lambda b: b"{"),
+        ("matrix.npy", lambda b: npy_bytes(np.zeros((2, 3)))),  # float64
+        ("matrix.npy", lambda b: npy_bytes(np.zeros(2, np.float32))),  # 1-d
     ])
     def test_corrupted_entry_is_one_line_format_error(self, tmp_path, part,
                                                       damage):
@@ -180,7 +180,7 @@ class TestVectorCache:
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
         with caplog.at_level(logging.INFO, logger="noppa.lexicon"):
             table = load_vectors(p)
-        assert_same_table(table, lexicon._parse_vectors(p, None))
+        assert_same_table(table, lexicon._parse_vectors(p))
         assert "miss, skipped writing" in caplog.text
         assert not any(r.levelno >= logging.WARNING for r in caplog.records)
 
@@ -243,7 +243,7 @@ class TestVectorStamp:
         p = tmp_path / "vec.txt"
         write_lines(p, ["alpha 0.1 -2.5e-3 3", "beta 1 2 3", "alpha 4 5 6"])
         settle(monkeypatch)
-        reference = lexicon._parse_vectors(p, None)
+        reference = lexicon._parse_vectors(p)
         miss = load_vectors(p)
         entry = lexicon._entry_path(miss.source_hash)
         assert os.path.isfile(stamp_of(p))
@@ -294,7 +294,7 @@ class TestVectorStamp:
         monkeypatch.setattr(hashlib, "file_digest", digest_then_append)
         table = load_vectors(p)
         assert not os.path.exists(stamp_of(p))
-        assert_same_table(table, lexicon._parse_vectors(p, None))
+        assert_same_table(table, lexicon._parse_vectors(p))
 
     @pytest.mark.parametrize("change", ["rewrite", "rewrite-old-mtime",
                                         "rename"])
@@ -321,7 +321,7 @@ class TestVectorStamp:
         second = load_vectors(p)
         assert first.source_hash != second.source_hash
         np.testing.assert_array_equal(second.get("alpha"), [1, 2, 4])
-        assert_same_table(second, lexicon._parse_vectors(p, None))
+        assert_same_table(second, lexicon._parse_vectors(p))
 
     @pytest.mark.parametrize("damage", [
         "truncated", "garbage", "not-utf8", "list", "deep", "bad-digest",
@@ -364,7 +364,7 @@ class TestVectorStamp:
         settle(monkeypatch)
         with caplog.at_level(logging.INFO, logger="noppa.lexicon"):
             for _ in range(2):
-                assert_same_table(load_vectors(p), lexicon._parse_vectors(p, None))
+                assert_same_table(load_vectors(p), lexicon._parse_vectors(p))
         assert not any(r.levelno >= logging.WARNING for r in caplog.records)
 
 
