@@ -191,12 +191,11 @@ def cmd_eval(args) -> int:
                                    _open_input(args.dataset, directory_ok=True))
     dataset = evalkit.subset(dataset, args.train_limit, args.dev_limit,
                              args.test_limit)
-    seeds = _parse_grid(args.seeds, int)
     result = evalkit.grid_search(
         dataset, vectors, frequencies,
         a_grid=_parse_grid(args.a_grid, float),
         k_grid=_parse_grid(args.k_grid, int),
-        seeds=seeds, variant=args.variant,
+        seeds=_parse_grid(args.seeds, int), variant=args.variant,
         use_positions=not args.no_positions,
         fit_on="train+test" if args.fit_on_test else "train",
         enforce_ranges=not args.unsafe_ranges,
@@ -206,7 +205,7 @@ def cmd_eval(args) -> int:
           f"dev={result.best.dev_accuracy:.2f} test={result.best.test_accuracy:.2f}")
     print(f"dev-best config a={result.best_a:g} k={result.best_k}: "
           f"test {result.test_mean:.1f}±{result.test_std:.2f} "
-          f"over {len(seeds)} seeds")
+          f"over {len({r.seed for r in result.runs})} seeds")
     return EXIT_OK
 
 

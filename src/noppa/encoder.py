@@ -2,8 +2,12 @@
 log-kernel contextual embedding, and smooth-frequency-weighted averaging.
 
 All heavy loops accumulate in float64; word-vector storage stays float32.
-``encode`` embeds one sentence and also returns its diagnostics;
-``evalkit.encode_batch`` embeds many.  Both pool with ``pool``.
+``contextual_embeddings`` is the one stage that turns a sentence and its
+weight rows into sentence vectors.  It sums the log-kernel over unordered
+word pairs (``_pooled_context``) instead of forming each word's contextual
+row, and pools the word vectors with ``pool``.  ``encode`` embeds one
+sentence and also returns its diagnostics; ``evalkit.encode_batch`` embeds
+many, one weight row per a.
 """
 
 from __future__ import annotations
@@ -126,71 +130,116 @@ def log_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.log2(1.0 + np.square(y - x))
 
 
-def sfw(pr, a: float):
-    """Smooth frequency weight a / (pr + a/2); decreasing in pr, range (0, 2]."""
-    if not a > 0:
+def sfw(pr, a):
+    """Smooth frequency weight a / (pr + a/2); decreasing in pr, range (0, 2].
+
+    ``a`` may be an array that broadcasts against ``pr``.
+    """
+    if not (np.asarray(a) > 0).all():
         raise NoppaError(f"a must be positive, got {a}")
     return a / (np.asarray(pr, dtype=np.float64) + a / 2.0)
 
 
 # Target element count of the per-block kernel buffer (~1 MB of float64);
-# a cache-resident working set keeps wall time tracking the n^2*d
-# operation count instead of DRAM bandwidth.
+# a cache-resident working set keeps wall time tracking the pair count
+# instead of DRAM bandwidth.
 _BLOCK_ELEMS = 131_072
-_BLOCK_ROWS_MAX = 8
 
 
-def _contextual_part(pv: np.ndarray, att: np.ndarray) -> np.ndarray:
-    """Attention-weighted log-kernel context, row i = sum_j A_ij K(pv_i, pv_j)."""
+def _pooled_context(pv: np.ndarray, att: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Contextual block of the sentence vector, one row per weight row:
+    (1/n) sum_i w_i sum_j A_ij K(pv_i, pv_j).
+
+    K is symmetric with a zero diagonal, so this is the sum over unordered
+    pairs {i, j} of (w_i A_ij + w_j A_ji) / n * K_ij, and each pair's
+    log2 is evaluated once.  Slab k holds the n pairs (i, (i + k) mod n);
+    slabs k = 1..n//2 cover every pair once, except that for even n the
+    last slab lists each of its pairs twice and so counts half.
+    """
     n, d = pv.shape
-    block = min(_BLOCK_ROWS_MAX, max(1, _BLOCK_ELEMS // (n * d)))
-    ctx = np.empty((n, d), dtype=np.float64)
-    buf = np.empty((min(block, n), n, d), dtype=np.float64)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    r = weights.shape[0]
+    m = n // 2
+    ctx = np.zeros((r, d))
+    if m == 0:
+        return ctx
+    # Both pair layouts are strided views of an array with its first m
+    # rows (or columns) appended, so they need no index arrays.  Slab k is
+    # rows k..k+n-1 of ``ext``.
+    ext = np.concatenate([pv, pv[:m]])
+    step, elem = ext.strides
+    slabs = np.ndarray((m, n, d), buffer=ext, offset=step, strides=(step, step, elem))
+    # coef[:, k-1, i] = sym[:, i, (i + k) mod n], copied so that each row is
+    # contiguous and goes through the same unit-stride product below.
+    scaled = weights[:, :, None] * att
+    sym = scaled + scaled.transpose(0, 2, 1)
+    wrapped = np.concatenate([sym, sym[:, :, :m]], axis=2)
+    outer, row, _ = wrapped.strides
+    coef = np.ndarray((r, m, n), buffer=wrapped, offset=elem,
+                      strides=(outer, elem, row + elem)).copy().reshape(r, m * n)
+    if n % 2 == 0:
+        coef[:, -n:] *= 0.5
+    block = max(1, _BLOCK_ELEMS // (n * d))
+    buf = np.empty((min(block, m), n, d))
+    for start in range(0, m, block):
+        stop = min(start + block, m)
         b = buf[: stop - start]
-        np.subtract(pv[None, :, :], pv[start:stop, None, :], out=b)
+        np.subtract(slabs[start:stop], pv, out=b)
         np.square(b, out=b)
         b += 1.0
         np.log2(b, out=b)
-        ctx[start:stop] = np.matmul(att[start:stop, None, :], b)[:, 0, :]
+        # A stack of vector-matrix products, one per contiguous coefficient
+        # row: a row's bits do not depend on how many rows come with it.
+        ctx += np.matmul(coef[:, None, start * n: stop * n], b.reshape(-1, d))[:, 0]
+    ctx /= n
     return ctx
+
+
+def word_rows(tokens: TokenSequence, vectors: VectorTable) -> np.ndarray:
+    """The stored vectors of ``tokens`` as float64 rows, in one gather."""
+    if len(tokens) == 0:
+        raise EmptySentenceError("empty after filtering")
+    try:
+        ids = [vectors.index[t] for t in tokens.tokens]
+    except KeyError as exc:
+        raise NoppaError(
+            f"token without vector reached the encoder: {exc.args[0]!r}") from None
+    return vectors.matrix[ids].astype(np.float64)
+
+
+def pool(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Length-normalized weighted sum of ``rows``, one result per weight row."""
+    return (weights[..., :, None] * rows).sum(axis=-2) / rows.shape[0]
 
 
 def contextual_embeddings(
     tokens: TokenSequence,
     vectors: VectorTable,
     config: EncoderConfig,
+    weights: np.ndarray,
     want_attention: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-word 2*dim vectors: contextual block first, raw word vector second.
+    """Sentence vectors of ``tokens``, one per row of ``weights``.
 
-    The raw block is the word vector without the positional offset.
-    Returns (n x 2*dim matrix, attention matrix or None).
+    Each is the length-normalized weighted sum over words i of
+    concat(ctx_i, raw_i): ctx_i = sum_j A_ij K(pv_i, pv_j), and raw_i is
+    the word vector without the positional offset.  ``weights`` is (n,)
+    or (r, n); the vectors are (2*dim,) or (r, 2*dim).
+    Returns (vectors, attention matrix or None).
     """
-    if len(tokens) == 0:
-        raise EmptySentenceError("empty after filtering")
+    raw = word_rows(tokens, vectors)
     if vectors.dim != config.dim:
         raise NoppaError(f"dim mismatch: vectors dim {vectors.dim} vs config dim {config.dim}")
-    raw = np.empty((len(tokens), config.dim), dtype=np.float64)
-    for i, token in enumerate(tokens.tokens):
-        vec = vectors.get(token)
-        if vec is None:
-            raise NoppaError(f"token without vector reached the encoder: {token!r}")
-        raw[i] = vec
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape[-1:] != (len(tokens),) or weights.ndim > 2:
+        raise NoppaError(f"weights of shape {weights.shape} for {len(tokens)} tokens")
     if config.use_positions:
         pv = raw + _position_matrix(len(tokens), config.dim)
     else:
         pv = raw
     att = attention(pv)
-    ctx = _contextual_part(pv, att)
-    per_word = np.concatenate([ctx, raw], axis=1)
-    return per_word, (att if want_attention else None)
-
-
-def pool(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Length-normalized weighted sum of the per-word rows: the sentence vector."""
-    return (weights[:, None] * rows).sum(axis=0) / rows.shape[0]
+    rows = weights.reshape(-1, len(tokens))
+    out = np.concatenate([_pooled_context(pv, att, rows), pool(rows, raw)], axis=1)
+    return out.reshape(*weights.shape[:-1], -1), (att if want_attention else None)
 
 
 def encode(
@@ -206,9 +255,8 @@ def encode(
     the per-word contextual vectors.  Tokens with no frequency entry get
     Pr = 0 and therefore the maximal weight 2.
     """
-    per_word, att = contextual_embeddings(tokens, vectors, config,
-                                          want_attention=diagnostics)
     probs = np.array([frequencies.get(t) for t in tokens.tokens], dtype=np.float64)
     weights = sfw(probs, config.a)
-    return SentenceEmbedding(vector=pool(weights, per_word),
-                             token_weights=weights, attention=att)
+    vector, att = contextual_embeddings(tokens, vectors, config, weights,
+                                        want_attention=diagnostics)
+    return SentenceEmbedding(vector=vector, token_weights=weights, attention=att)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import denoiser
 from .encoder import (VARIANTS, EncoderConfig, check_ranges,
-                      contextual_embeddings, pool, sfw)
+                      contextual_embeddings, pool, sfw, word_rows)
 from .errors import FormatError, NoppaError
 from .lexicon import FrequencyTable, TokenSequence, VectorTable, read_lines, tokenize
 
@@ -194,23 +194,21 @@ def encode_batch(token_lists: list[TokenSequence], vectors: VectorTable,
     ``raw=True`` pools the stored word vectors instead of the contextual rows.
     """
     a_values = [config.a] if a_values is None else list(a_values)
+    a_column = np.array(a_values, dtype=np.float64)[:, None]
     width = vectors.dim if raw else 2 * config.dim
-    out = {a: np.empty((len(token_lists), width)) for a in a_values}
+    out = np.empty((len(a_values), len(token_lists), width))
     for i, tokens in enumerate(token_lists):
-        if raw:
-            rows = np.stack([np.asarray(vectors.get(t), dtype=np.float64)
-                             for t in tokens.tokens])
-        else:
-            rows, _ = contextual_embeddings(tokens, vectors, config)
         if frequencies is None:
-            mean = pool(np.ones(len(tokens)), rows)
-            for a in a_values:
-                out[a][i] = mean
-            continue
-        probs = np.array([frequencies.get(t) for t in tokens.tokens], dtype=np.float64)
-        for a in a_values:
-            out[a][i] = pool(sfw(probs, a), rows)
-    return out
+            weights = np.ones(len(tokens))  # one row, the same for every a
+        else:
+            probs = np.array([frequencies.get(t) for t in tokens.tokens],
+                             dtype=np.float64)
+            weights = sfw(probs, a_column)
+        if raw:
+            out[:, i] = pool(weights, word_rows(tokens, vectors))
+        else:
+            out[:, i] = contextual_embeddings(tokens, vectors, config, weights)[0]
+    return dict(zip(a_values, out))
 
 
 def embed_split(sentences, variant: str, config: EncoderConfig,
@@ -427,6 +425,7 @@ def evaluate_runs(dataset: LabeledDataset, vectors: VectorTable,
         raise NoppaError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     a_values = sorted(set(float(a) for a in a_grid))
     k_values = sorted(set(int(k) for k in k_grid))
+    seeds = list(dict.fromkeys(int(s) for s in seeds))
     if variant not in _NR_VARIANTS:
         k_values = [0]
     if variant in _UNIFORM_VARIANTS:

@@ -2,10 +2,13 @@
 
 The encoder references are written with plain Python floats and ``math``
 only, as an independent check on the vectorized engine; keep them free of
-numpy.  ``MLPClassifier`` at the end is a per-tensor numpy trainer (one
-array and one Adam update per parameter), the bitwise reference for the
-flat-vector trainer in ``noppa.evalkit``.  Keep this module free of any
-imports from the package under test.
+numpy.  ``contextual_part`` and ``pool`` are the earlier numpy engine, which
+evaluated all n^2 kernel rows and pooled per word; they are the near-ulp
+reference for the pair-sum engine in ``noppa.encoder``.  ``MLPClassifier``
+at the end is a per-tensor numpy trainer (one array and one Adam update per
+parameter), the bitwise reference for the flat-vector trainer in
+``noppa.evalkit``.  Keep this module free of any imports from the package
+under test.
 """
 
 import math
@@ -88,6 +91,32 @@ def remove_projection(vector, rows):
         for c in range(len(vector)):
             out[c] -= coeff * row[c]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-word numpy engine: every ordered pair's kernel row, pooled per word.
+
+
+def contextual_part(pv, att, block_elems=131_072, block_rows_max=8):
+    """Row i = sum_j A_ij K(pv_i, pv_j), all n^2 kernel rows in row blocks."""
+    n, d = pv.shape
+    block = min(block_rows_max, max(1, block_elems // (n * d)))
+    ctx = np.empty((n, d), dtype=np.float64)
+    buf = np.empty((min(block, n), n, d), dtype=np.float64)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        b = buf[: stop - start]
+        np.subtract(pv[None, :, :], pv[start:stop, None, :], out=b)
+        np.square(b, out=b)
+        b += 1.0
+        np.log2(b, out=b)
+        ctx[start:stop] = np.matmul(att[start:stop, None, :], b)[:, 0, :]
+    return ctx
+
+
+def pool(weights, rows):
+    """Length-normalized weighted sum of the per-word rows."""
+    return (weights[:, None] * rows).sum(axis=0) / rows.shape[0]
 
 
 # ---------------------------------------------------------------------------

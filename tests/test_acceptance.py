@@ -120,7 +120,9 @@ class TestCriterion1Properties:
             cfg = EncoderConfig(a=0.05, dim=vt.dim)
             n = int(rng.integers(1, 8))
             toks = random_tokens(rng, vt, n)
-            per_word, att = contextual_embeddings(toks, vt, cfg, want_attention=True)
+            # Weights n * e_i make pooled row i word i's own row.
+            per_word, att = contextual_embeddings(toks, vt, cfg, n * np.eye(n),
+                                                  want_attention=True)
             raw = np.stack([vt.get(t) for t in toks.tokens]).astype(np.float64)
             pv = raw + np.stack([pos_embed(i, cfg.dim) for i in range(n)])
             for i in range(n):

@@ -470,6 +470,20 @@ class TestEvalAndBench:
                     "--seeds", "1,2,3", str(ds)]) == 0
         assert "over 3 seeds" in capsys.readouterr().out
 
+    def test_duplicate_seeds_run_once(self, world, tmp_path, capsys):
+        tmp, vec, freq, _ = world
+        rows = [f"{i % 2}\t{'girl eats cake' if i % 2 else 'dog runs fast'} x{i}"
+                for i in range(60)]
+        ds = tmp_path / "toy.tsv"
+        ds.write_text("\n".join(rows) + "\n")
+        log = tmp_path / "runs.log"
+        assert run(["eval", "--vectors", vec, "--freq", freq, "--name", "toy",
+                    "--a-grid", "0.05,0.05", "--k-grid", "0,1", "--seeds", "1,1",
+                    "--log", str(log), str(ds)]) == 0
+        assert "over 1 seeds" in capsys.readouterr().out
+        # One run per (a, k): the fourth field of a log line is k.
+        assert [line.split(",")[3] for line in log.read_text().splitlines()] == ["0", "1"]
+
     def test_bench_prints_machine_line(self, world, capsys):
         _, vec, freq, sent = world
         assert run(["bench", "--vectors", vec, "--freq", freq,

@@ -199,12 +199,17 @@ class TestEncode:
         np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-9)
 
 
+def one_hot_weights(n):
+    """Weights under which row i of the pooled result is word i's own row."""
+    return n * np.eye(n)
+
+
 class TestContextualStructure:
     def test_raw_block_is_position_free_word_vector(self, tiny_world):
         vt, ft, cfg = tiny_world
         rng = np.random.default_rng(5)
         toks = random_sentence(rng, vt, 6)
-        per_word, _ = contextual_embeddings(toks, vt, cfg)
+        per_word, _ = contextual_embeddings(toks, vt, cfg, one_hot_weights(6))
         raw = np.stack([vt.get(t) for t in toks.tokens]).astype(np.float64)
         np.testing.assert_array_equal(per_word[:, cfg.dim:], raw)
 
@@ -214,7 +219,8 @@ class TestContextualStructure:
         vt, ft, cfg = tiny_world
         rng = np.random.default_rng(6)
         toks = random_sentence(rng, vt, 8)
-        per_word, att = contextual_embeddings(toks, vt, cfg, want_attention=True)
+        per_word, att = contextual_embeddings(toks, vt, cfg, one_hot_weights(8),
+                                              want_attention=True)
         raw = np.stack([vt.get(t) for t in toks.tokens]).astype(np.float64)
         pv = raw + np.stack([pos_embed(i, cfg.dim) for i in range(len(toks))])
         for i in range(len(toks)):
@@ -257,7 +263,7 @@ class TestContextualStructure:
         vt, ft, cfg = tiny_world
         rng = np.random.default_rng(9)
         toks = random_sentence(rng, vt, 9)
-        per_word, _ = contextual_embeddings(toks, vt, cfg)
+        per_word, _ = contextual_embeddings(toks, vt, cfg, one_hot_weights(9))
         raw = np.stack([vt.get(t) for t in toks.tokens]).astype(np.float64)
         pv = raw + np.stack([pos_embed(i, cfg.dim) for i in range(len(toks))])
         kernels = np.stack([[log_kernel(pv[i], pv[j]) for j in range(len(toks))]
@@ -265,3 +271,65 @@ class TestContextualStructure:
         ctx = per_word[:, :cfg.dim]
         assert (ctx >= -1e-12).all()
         assert (ctx <= kernels.max(axis=1) + 1e-12).all()
+
+
+class TestPairKernel:
+    """The pair-sum engine against the per-word engine of ``oracles``."""
+
+    @staticmethod
+    def world(n, dim, use_positions, seed):
+        rng = np.random.default_rng(seed)
+        vt = VectorTable.from_mapping(
+            {f"w{i}": rng.standard_normal(dim).astype(np.float32) for i in range(40)})
+        toks = random_sentence(rng, vt, n)
+        cfg = EncoderConfig(a=0.05, dim=dim, use_positions=use_positions)
+        raw = np.stack([vt.get(t) for t in toks.tokens]).astype(np.float64)
+        pv = raw + np.stack([pos_embed(i, dim) for i in range(n)]) if use_positions else raw
+        return vt, toks, cfg, raw, pv, rng
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("use_positions", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 33, 64, 129])
+    def test_matches_per_word_engine(self, n, use_positions, rows):
+        vt, toks, cfg, raw, pv, rng = self.world(n, 24, use_positions, n + 7 * rows)
+        weights = rng.uniform(0.1, 2.0, (rows, n))
+        got, att = contextual_embeddings(toks, vt, cfg, weights, want_attention=True)
+        per_word = np.concatenate([oracles.contextual_part(pv, att), raw], axis=1)
+        assert got.shape == (rows, 2 * cfg.dim)
+        for row, w in zip(got, weights):
+            expected = oracles.pool(w, per_word)
+            # Exact arithmetic gives equality; only the order of the sums differs.
+            tolerance = 1e-14 * np.abs(expected).max()
+            np.testing.assert_allclose(row, expected, rtol=0, atol=tolerance)
+            assert row[cfg.dim:].tobytes() == expected[cfg.dim:].tobytes()
+
+    @pytest.mark.parametrize("use_positions", [True, False])
+    def test_single_word_context_is_exactly_zero(self, use_positions):
+        vt, toks, cfg, raw, _, _ = self.world(1, 5, use_positions, 3)
+        got, _ = contextual_embeddings(toks, vt, cfg, np.array([1.7]))
+        assert got.shape == (10,)
+        assert (got[:5] == 0.0).all()
+        assert got[5:].tobytes() == (1.7 * raw[0]).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 33])
+    def test_row_bits_independent_of_row_count(self, n):
+        vt, toks, cfg, _, _, rng = self.world(n, 50, True, n)
+        weights = rng.uniform(0.1, 2.0, (4, n))
+        together, _ = contextual_embeddings(toks, vt, cfg, weights)
+        for row, w in zip(together, weights):
+            alone, _ = contextual_embeddings(toks, vt, cfg, w)
+            assert row.tobytes() == alone.tobytes()
+
+    def test_weights_must_match_length(self, tiny_world):
+        vt, ft, cfg = tiny_world
+        toks = random_sentence(np.random.default_rng(2), vt, 4)
+        for bad in (np.ones(3), np.ones((2, 5)), np.ones((1, 1, 4)), np.float64(1.0)):
+            with pytest.raises(NoppaError, match="weights of shape"):
+                contextual_embeddings(toks, vt, cfg, bad)
+
+    def test_token_without_vector_rejected(self, tiny_world):
+        vt, ft, cfg = tiny_world
+        toks = TokenSequence(tokens=[next(iter(vt.tokens())), "zzz"])
+        with pytest.raises(NoppaError,
+                           match="token without vector reached the encoder: 'zzz'"):
+            contextual_embeddings(toks, vt, cfg, np.ones(2))

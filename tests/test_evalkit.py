@@ -146,11 +146,15 @@ class TestEncodeBatch:
 
     def test_no_frequencies_gives_plain_mean(self, tiny_world):
         vt, ft, cfg = tiny_world
-        toks = random_sentence(np.random.default_rng(13), vt, 20)
+        n = 20
+        toks = random_sentence(np.random.default_rng(13), vt, n)
         batch = encode_batch([toks], vt, None, cfg, [0.01, 0.1])
-        per_word, _ = contextual_embeddings(toks, vt, cfg)
+        mean, _ = contextual_embeddings(toks, vt, cfg, np.ones(n))
+        per_word, _ = contextual_embeddings(toks, vt, cfg, n * np.eye(n))
         for rows in batch.values():
-            assert rows[0].tobytes() == (per_word.sum(axis=0) / len(toks)).tobytes()
+            assert rows[0].tobytes() == mean.tobytes()
+            np.testing.assert_allclose(rows[0], per_word.mean(axis=0),
+                                       rtol=0, atol=1e-12)
 
     def test_empty_batch(self, tiny_world):
         vt, ft, cfg = tiny_world
@@ -205,7 +209,8 @@ class TestEmbedSplit:
         cfg_u = EncoderConfig(a=0.05, dim=vt.dim)
         mats, _ = evalkit.embed_split([sentence], "ce_avg", cfg_u, vt, ft)
         from noppa import contextual_embeddings, tokenize
-        per_word, _ = contextual_embeddings(tokenize(sentence, vt), vt, cfg_u)
+        per_word, _ = contextual_embeddings(tokenize(sentence, vt), vt, cfg_u,
+                                            6 * np.eye(6))
         np.testing.assert_allclose(mats[0.05][0], per_word.mean(axis=0), atol=1e-12)
 
     def test_pairs_and_mixed_arity(self, tiny_world):
