@@ -8,8 +8,8 @@ fitted SVD noise model removes the weakest singular directions.
 """
 
 from . import denoiser
-from .encoder import (EncoderConfig, SentenceEmbedding, attention,
-                      contextual_embeddings, encode, log_kernel, pos_embed, sfw)
+from .encoder import (EncoderConfig, attention, contextual_embeddings, encode,
+                      log_kernel, pos_embed, sfw)
 from .errors import (EmptySentenceError, FormatError, InfeasibleConfigError,
                      NoppaError)
 from .lexicon import (FrequencyTable, TokenSequence, VectorTable,
@@ -18,7 +18,7 @@ from .pipeline import Pipeline
 
 __all__ = [
     "analysis", "denoiser", "evalkit", "synth",
-    "EncoderConfig", "SentenceEmbedding", "attention", "contextual_embeddings",
+    "EncoderConfig", "attention", "contextual_embeddings",
     "encode", "log_kernel", "pos_embed", "sfw",
     "EmptySentenceError", "FormatError", "InfeasibleConfigError", "NoppaError",
     "FrequencyTable", "TokenSequence", "VectorTable",

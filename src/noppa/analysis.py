@@ -52,8 +52,7 @@ def attention_report(sentence: str, pipe: Pipeline) -> str:
     The matrix rows sum to 1 within 1e-6 before printing; printed values
     are rounded to 6 decimal places, which the comment header records.
     """
-    toks, emb = pipe.embed(sentence, diagnostics=True, denoise=False)
-    att = emb.attention
+    toks, _, att = pipe.embed(sentence, denoise=False)
     out = io.StringIO()
     for line in _config_comments(pipe):
         out.write(line + "\n")
@@ -74,8 +73,7 @@ def contribution_report(sentence: str, pipe: Pipeline,
     then compared by cosine similarity against the (by default denoised)
     sentence embedding.
     """
-    toks, emb = pipe.embed(sentence, denoise=denoised)
-    sent = emb.vector
+    toks, sent, _ = pipe.embed(sentence, denoise=denoised)
     sent_norm = float(np.linalg.norm(sent))
     if sent_norm == 0.0:
         raise NoppaError("degenerate embedding")

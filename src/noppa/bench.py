@@ -14,9 +14,8 @@ import time
 import numpy as np
 
 from . import denoiser
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, encode_batch
 from .errors import NoppaError
-from .evalkit import encode_batch
 from .lexicon import FrequencyTable, TokenSequence, VectorTable, tokenize
 
 
@@ -76,6 +75,10 @@ def report(sentences, vectors: VectorTable, frequencies: FrequencyTable,
         raise NoppaError(f"k must be >= 0, got {k}")
     if seed < 0:
         raise NoppaError(f"seed must be >= 0, got {seed}")
+    if scaling_n is not None and scaling_n < 1:
+        raise NoppaError(f"scaling_n must be >= 1, got {scaling_n}")
+    if scaling_count < 1:
+        raise NoppaError(f"scaling_count must be >= 1, got {scaling_count}")
     token_lists = [t for t in (tokenize(s, vectors) for s in sentences) if len(t)]
     times, _ = _encode_times(token_lists, vectors, frequencies, config, repetitions)
     lines = [f"machine: {platform.platform()} | python {platform.python_version()} | "

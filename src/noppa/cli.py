@@ -85,6 +85,8 @@ def _build_pipeline(args) -> Pipeline:
     k = getattr(args, "k", 0)  # attention and contrib take k from --noise-model
     if not args.unsafe_ranges:
         check_ranges([args.a], [k])
+    if k < 0:  # read by fit-noise; refused for embed alike
+        raise NoppaError(f"k must be >= 0, got {k}")
     vectors = load_vectors(_open_input(args.vectors))
     frequencies = load_frequencies(_open_input(args.freq))
     noise = None
@@ -92,8 +94,6 @@ def _build_pipeline(args) -> Pipeline:
         noise = denoiser.load(_open_input(args.noise_model))
     config = EncoderConfig(a=args.a, dim=vectors.dim,
                            use_positions=not args.no_positions)
-    if k < 0:  # read by fit-noise; refused for embed alike
-        raise NoppaError(f"k must be >= 0, got {k}")
     return Pipeline(vectors=vectors, frequencies=frequencies,
                     config=config, noise=noise)
 
@@ -128,7 +128,7 @@ def cmd_fit_noise(args) -> int:
     if not args.out:
         raise NoppaError("--out is required for fit-noise")
     pipe = _build_pipeline(args)
-    rows, _ = pipe.embed_lines(_read_sentences(args.sentences), denoise=False)
+    rows, _ = pipe.embed_lines(_read_sentences(args.sentences))
     if len(rows) < max(args.k, 1):
         raise InfeasibleConfigError(
             f"k={args.k} but only {len(rows)} sentences encoded successfully")

@@ -5,6 +5,11 @@ The right singular vectors are obtained from the eigendecomposition of the
 D x D Gram matrix X^T X (D = 2*dim), which is much cheaper than a full SVD
 when the row count is large.  No mean-centering is applied before the
 decomposition; that is a deliberate literal reading of the fitting recipe.
+
+``remove_matrix`` subtracts the projection from a whole matrix in one
+product (``eval``).  ``remove`` does it one row at a time, so each row has
+the bits of a one-sentence removal (``embed``); a single product over all
+rows changes the last bits of the result.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import SentenceEmbedding
 from .errors import FormatError, InfeasibleConfigError, NoppaError
 from .lexicon import read_lines
 
@@ -90,14 +94,14 @@ def remove_matrix(vectors: np.ndarray, model: NoiseModel) -> np.ndarray:
     return X - (X @ model.vk.T) @ model.vk
 
 
-def remove(embedding: SentenceEmbedding, model: NoiseModel) -> SentenceEmbedding:
-    """Noise-removed copy of a sentence embedding (diagnostics preserved)."""
+def remove(rows: np.ndarray, model: NoiseModel) -> np.ndarray:
+    """``remove_matrix`` of each row on its own; ``rows`` itself when k = 0."""
     if model.k == 0:
-        return embedding
-    vector = remove_matrix(embedding.vector, model)
-    return SentenceEmbedding(vector=vector,
-                             token_weights=embedding.token_weights,
-                             attention=embedding.attention)
+        return rows
+    out = np.empty_like(rows, dtype=np.float64)
+    for i, row in enumerate(rows):
+        out[i] = remove_matrix(row, model)
+    return out
 
 
 def save(model: NoiseModel, path) -> None:

@@ -6,8 +6,9 @@ All heavy loops accumulate in float64; word-vector storage stays float32.
 weight rows into sentence vectors.  It sums the log-kernel over unordered
 word pairs (``_pooled_context``) instead of forming each word's contextual
 row, and pools the word vectors with ``pool``.  ``encode`` embeds one
-sentence and also returns its diagnostics; ``evalkit.encode_batch`` embeds
-many, one weight row per a.
+sentence and also returns its attention matrix (``embed``, ``fit-noise``,
+``attention``, ``contrib``); ``encode_batch`` embeds many, one weight row
+per a (``eval``, ``bench``).  Both weight words with ``token_weights``.
 """
 
 from __future__ import annotations
@@ -61,20 +62,6 @@ def check_ranges(a_grid, k_grid):
             raise InfeasibleConfigError(
                 f"k={k} outside documented range [{K_RANGE[0]}, {K_RANGE[1]}] "
                 f"(use --unsafe-ranges to override)")
-
-
-@dataclass(frozen=True)
-class SentenceEmbedding:
-    """A 2*dim sentence vector plus per-word diagnostics.
-
-    ``token_weights`` holds the n smooth-frequency weights; ``attention``
-    is the n x n row-stochastic matrix, retained only when diagnostics
-    were requested.
-    """
-
-    vector: np.ndarray  # (2*dim,) float64
-    token_weights: np.ndarray  # (n,) float64
-    attention: np.ndarray | None = None
 
 
 def pos_embed(i: int, dim: int) -> np.ndarray:
@@ -216,15 +203,14 @@ def contextual_embeddings(
     vectors: VectorTable,
     config: EncoderConfig,
     weights: np.ndarray,
-    want_attention: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sentence vectors of ``tokens``, one per row of ``weights``.
 
     Each is the length-normalized weighted sum over words i of
     concat(ctx_i, raw_i): ctx_i = sum_j A_ij K(pv_i, pv_j), and raw_i is
     the word vector without the positional offset.  ``weights`` is (n,)
     or (r, n); the vectors are (2*dim,) or (r, 2*dim).
-    Returns (vectors, attention matrix or None).
+    Returns (vectors, n x n attention matrix).
     """
     raw = word_rows(tokens, vectors)
     if vectors.dim != config.dim:
@@ -239,7 +225,15 @@ def contextual_embeddings(
     att = attention(pv)
     rows = weights.reshape(-1, len(tokens))
     out = np.concatenate([_pooled_context(pv, att, rows), pool(rows, raw)], axis=1)
-    return out.reshape(*weights.shape[:-1], -1), (att if want_attention else None)
+    return out.reshape(*weights.shape[:-1], -1), att
+
+
+def token_weights(tokens: TokenSequence, frequencies: FrequencyTable, a) -> np.ndarray:
+    """Smooth frequency weights of ``tokens``: (n,) for a scalar ``a``, one
+    row per a for an (r, 1) column.  A word with no frequency entry has
+    Pr = 0 and therefore the maximal weight 2."""
+    probs = np.array([frequencies.get(t) for t in tokens.tokens], dtype=np.float64)
+    return sfw(probs, a)
 
 
 def encode(
@@ -247,16 +241,37 @@ def encode(
     vectors: VectorTable,
     frequencies: FrequencyTable,
     config: EncoderConfig,
-    diagnostics: bool = False,
-) -> SentenceEmbedding:
-    """Embed one tokenized sentence and keep its per-word diagnostics.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Embed one tokenized sentence: (2*dim vector, n x n attention matrix).
 
-    The result is the length-normalized, smooth-frequency-weighted sum of
-    the per-word contextual vectors.  Tokens with no frequency entry get
-    Pr = 0 and therefore the maximal weight 2.
+    The vector is the length-normalized, smooth-frequency-weighted sum of
+    the per-word contextual vectors.
     """
-    probs = np.array([frequencies.get(t) for t in tokens.tokens], dtype=np.float64)
-    weights = sfw(probs, config.a)
-    vector, att = contextual_embeddings(tokens, vectors, config, weights,
-                                        want_attention=diagnostics)
-    return SentenceEmbedding(vector=vector, token_weights=weights, attention=att)
+    return contextual_embeddings(tokens, vectors, config,
+                                 token_weights(tokens, frequencies, config.a))
+
+
+def encode_batch(token_lists: list[TokenSequence], vectors: VectorTable,
+                 frequencies: FrequencyTable | None, config: EncoderConfig,
+                 a_values: list[float] | None = None,
+                 raw: bool = False) -> dict[float, np.ndarray]:
+    """a -> matrix whose row i is ``encode(token_lists[i], ...)[0]`` at a.
+
+    One contextual pass per sentence serves every a in ``a_values``
+    (default ``[config.a]``).  ``frequencies=None`` weights every word 1;
+    ``raw=True`` pools the stored word vectors instead of the contextual rows.
+    """
+    a_values = [config.a] if a_values is None else list(a_values)
+    a_column = np.array(a_values, dtype=np.float64)[:, None]
+    width = vectors.dim if raw else 2 * config.dim
+    out = np.empty((len(a_values), len(token_lists), width))
+    for i, tokens in enumerate(token_lists):
+        if frequencies is None:
+            weights = np.ones(len(tokens))  # one row, the same for every a
+        else:
+            weights = token_weights(tokens, frequencies, a_column)
+        if raw:
+            out[:, i] = pool(weights, word_rows(tokens, vectors))
+        else:
+            out[:, i] = contextual_embeddings(tokens, vectors, config, weights)[0]
+    return dict(zip(a_values, out))

@@ -1,5 +1,6 @@
-"""Desk-scale downstream evaluation: dataset ingestion, batch encoding, a
-small MLP classifier, baseline embedders and grid search.
+"""Desk-scale downstream evaluation: dataset ingestion, the embedding of
+whole splits (through ``encoder.encode_batch``), a small MLP classifier,
+baseline embedders and grid search.
 
 The classifier follows a fixed protocol: one hidden layer of 50 rectified
 units, softmax cross-entropy, Adam with batch size 64 and no dropout,
@@ -19,8 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import denoiser
-from .encoder import (VARIANTS, EncoderConfig, check_ranges,
-                      contextual_embeddings, pool, sfw, word_rows)
+from .encoder import VARIANTS, EncoderConfig, check_ranges, encode_batch
+# Unused here, but benchmark/spans.py still wraps it at this binding.
+from .encoder import contextual_embeddings  # noqa: F401
 from .errors import FormatError, NoppaError
 from .lexicon import FrequencyTable, TokenSequence, VectorTable, read_lines, tokenize
 
@@ -181,34 +183,6 @@ def pair_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Embedding of whole datasets
-
-
-def encode_batch(token_lists: list[TokenSequence], vectors: VectorTable,
-                 frequencies: FrequencyTable | None, config: EncoderConfig,
-                 a_values: list[float] | None = None,
-                 raw: bool = False) -> dict[float, np.ndarray]:
-    """a -> matrix whose row i is ``encode(token_lists[i], ...).vector`` at a.
-
-    One contextual pass per sentence serves every a in ``a_values``
-    (default ``[config.a]``).  ``frequencies=None`` weights every word 1;
-    ``raw=True`` pools the stored word vectors instead of the contextual rows.
-    """
-    a_values = [config.a] if a_values is None else list(a_values)
-    a_column = np.array(a_values, dtype=np.float64)[:, None]
-    width = vectors.dim if raw else 2 * config.dim
-    out = np.empty((len(a_values), len(token_lists), width))
-    for i, tokens in enumerate(token_lists):
-        if frequencies is None:
-            weights = np.ones(len(tokens))  # one row, the same for every a
-        else:
-            probs = np.array([frequencies.get(t) for t in tokens.tokens],
-                             dtype=np.float64)
-            weights = sfw(probs, a_column)
-        if raw:
-            out[:, i] = pool(weights, word_rows(tokens, vectors))
-        else:
-            out[:, i] = contextual_embeddings(tokens, vectors, config, weights)[0]
-    return dict(zip(a_values, out))
 
 
 def embed_split(sentences, variant: str, config: EncoderConfig,

@@ -1,4 +1,8 @@
-"""End-to-end composition: tokenize -> encode -> optional noise removal."""
+"""End-to-end composition: tokenize -> encode -> optional noise removal.
+
+``embed`` embeds one sentence and also returns its attention matrix;
+``embed_lines`` embeds a file for the CLI, one ``embed`` per line.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,7 @@ import numpy as np
 
 from . import denoiser
 from .denoiser import NoiseModel
-from .encoder import EncoderConfig, SentenceEmbedding, encode
+from .encoder import EncoderConfig, encode
 from .errors import EmptySentenceError
 from .lexicon import FrequencyTable, TokenSequence, VectorTable, tokenize
 
@@ -22,22 +26,17 @@ class Pipeline:
     config: EncoderConfig
     noise: NoiseModel | None = None
 
-    def embed(
-        self,
-        raw: str,
-        diagnostics: bool = False,
-        denoise: bool = True,
-    ) -> tuple[TokenSequence, SentenceEmbedding]:
-        """Tokenize and embed one sentence; applies the noise model if present."""
+    def embed(self, raw: str,
+              denoise: bool = True) -> tuple[TokenSequence, np.ndarray, np.ndarray]:
+        """Tokenize and embed one sentence: (tokens, vector, attention
+        matrix).  The noise model, if present, is applied when ``denoise``."""
         toks = tokenize(raw, self.vectors)
-        emb = encode(toks, self.vectors, self.frequencies, self.config,
-                     diagnostics=diagnostics)
+        vector, att = encode(toks, self.vectors, self.frequencies, self.config)
         if denoise and self.noise is not None:
-            emb = denoiser.remove(emb, self.noise)
-        return toks, emb
+            vector = denoiser.remove(vector[None], self.noise)[0]
+        return toks, vector, att
 
-    def embed_lines(self, lines: list[str],
-                    denoise: bool = True) -> tuple[np.ndarray, list[int]]:
+    def embed_lines(self, lines: list[str]) -> tuple[np.ndarray, list[int]]:
         """Embed many sentences; row i is ``embed(lines[kept[i]])``'s vector.
 
         Returns (rows, kept): lines with no in-vocabulary token are left out
@@ -47,7 +46,7 @@ class Pipeline:
         kept: list[int] = []
         for i, raw in enumerate(lines):
             try:
-                rows[len(kept)] = self.embed(raw, denoise=denoise)[1].vector
+                rows[len(kept)] = self.embed(raw)[1]
             except EmptySentenceError:
                 continue
             kept.append(i)

@@ -102,11 +102,11 @@ class TestCriterion1Properties:
                                             if p_num else {"pad": 10000})
             a = float(rng.uniform(0.01, 0.5))
             cfg = EncoderConfig(a=a, dim=d)
-            emb = encode(TokenSequence(tokens=["tok"]), vt, ft, cfg)
+            vector, _ = encode(TokenSequence(tokens=["tok"]), vt, ft, cfg)
             p = ft.get("tok")
             expected = (a / (p + a / 2)) * np.concatenate(
                 [np.zeros(d), vec.astype(np.float64)])
-            worst = max(worst, float(np.abs(emb.vector - expected).max()))
+            worst = max(worst, float(np.abs(vector - expected).max()))
         check("C1 single-token closed form", worst <= 1e-12,
               f"worst deviation {worst:.2e}")
 
@@ -121,8 +121,7 @@ class TestCriterion1Properties:
             n = int(rng.integers(1, 8))
             toks = random_tokens(rng, vt, n)
             # Weights n * e_i make pooled row i word i's own row.
-            per_word, att = contextual_embeddings(toks, vt, cfg, n * np.eye(n),
-                                                  want_attention=True)
+            per_word, att = contextual_embeddings(toks, vt, cfg, n * np.eye(n))
             raw = np.stack([vt.get(t) for t in toks.tokens]).astype(np.float64)
             pv = raw + np.stack([pos_embed(i, cfg.dim) for i in range(n)])
             for i in range(n):
@@ -143,10 +142,10 @@ class TestCriterion1Properties:
             cfg = EncoderConfig(a=0.08, dim=vt.dim, use_positions=False)
             n = int(rng.integers(1, 11))
             toks = random_tokens(rng, vt, n)
-            base = encode(toks, vt, ft, cfg).vector
+            base, _ = encode(toks, vt, ft, cfg)
             perm = rng.permutation(n)
             shuffled = TokenSequence(tokens=[toks.tokens[i] for i in perm])
-            other = encode(shuffled, vt, ft, cfg).vector
+            other, _ = encode(shuffled, vt, ft, cfg)
             worst = max(worst, float(np.abs(base - other).max()))
         check("C1 permutation invariance, positions off (1e-10)", worst <= 1e-10,
               f"worst deviation {worst:.2e}")
@@ -205,12 +204,12 @@ class TestCriterion2Oracle:
             toks = random_tokens(rng, vt, n)
             a = float(rng.uniform(0.01, 0.3))
             cfg = EncoderConfig(a=a, dim=d)
-            emb = encode(toks, vt, ft, cfg)
+            vector, _ = encode(toks, vt, ft, cfg)
             stored = [[float(v) for v in vt.get(t)] for t in toks.tokens]
             probs = [ft.get(t) for t in toks.tokens]
             expected = oracles.sentence_embedding(stored, probs, a)
-            worst_raw = max(worst_raw, float(np.abs(emb.vector - expected).max()))
-            embeddings.append((emb, d))
+            worst_raw = max(worst_raw, float(np.abs(vector - expected).max()))
+            embeddings.append((vector, d))
             cases.append(expected)
         check("C2 scalar oracle, raw embedding (1e-10)", worst_raw <= 1e-10,
               f"worst component deviation {worst_raw:.2e}")
@@ -218,17 +217,15 @@ class TestCriterion2Oracle:
         # projection-removal oracle on each sentence, sharing one fitted model
         # per dimensionality bucket
         by_dim = {}
-        for emb, d in embeddings:
-            by_dim.setdefault(d, []).append(emb)
-        for d, embs in by_dim.items():
-            X = np.stack([e.vector for e in embs])
+        for vector, d in embeddings:
+            by_dim.setdefault(d, []).append(vector)
+        for d, vecs in by_dim.items():
+            X = np.stack(vecs)
             k = min(2, min(X.shape))
             model = denoiser.fit(X, k)
             rows = [list(map(float, r)) for r in model.vk]
-            for e in embs:
-                engine = denoiser.remove(e, model).vector
-                oracle = oracles.remove_projection(
-                    [float(v) for v in e.vector], rows)
+            for v, engine in zip(X, denoiser.remove(X, model)):
+                oracle = oracles.remove_projection([float(x) for x in v], rows)
                 worst_removed = max(worst_removed,
                                     float(np.abs(engine - oracle).max()))
         check("C2 scalar oracle, noise removal (1e-10)", worst_removed <= 1e-10,

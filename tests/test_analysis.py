@@ -51,8 +51,8 @@ class TestAttentionReport:
         assert rows[0][1:] == ["the", ",", "cake"]
 
     def test_unrounded_rows_sum_to_one(self, pipe):
-        _, emb = pipe.embed("the girl eats a cake .", diagnostics=True)
-        np.testing.assert_allclose(emb.attention.sum(axis=1), 1.0, atol=1e-6)
+        _, _, att = pipe.embed("the girl eats a cake .")
+        np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-6)
 
 
 class TestContributionReport:
@@ -71,8 +71,8 @@ class TestContributionReport:
         # exercised here through the inert-by-scaling weight constant
         report = analysis.contribution_report("the girl eats a cake", pipe)
         vecs = {t: pipe.vectors.get(t) for t in report.tokens}
-        _, emb = pipe.embed("the girl eats a cake")
-        scaled = emb.vector * 7.5
+        _, vector, _ = pipe.embed("the girl eats a cake")
+        scaled = vector * 7.5
         for token, score in zip(report.tokens, report.scores):
             w = np.asarray(vecs[token], dtype=np.float64)
             tiled = np.concatenate([w, w])
@@ -83,7 +83,7 @@ class TestContributionReport:
         sentences = ["the girl eats a cake", "a girl eats the cake .",
                      "the cake , the girl", "eats a cake the girl",
                      "the girl , a cake ."]
-        X = np.stack([pipe.embed(s, denoise=False)[1].vector for s in sentences])
+        X = np.stack([pipe.embed(s, denoise=False)[1] for s in sentences])
         noisy = Pipeline(vectors=pipe.vectors, frequencies=pipe.frequencies,
                          config=pipe.config, noise=denoiser.fit(X, 2))
         post = analysis.contribution_report("the girl eats a cake", noisy)

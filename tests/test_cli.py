@@ -86,7 +86,9 @@ class TestEmbed:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_noise_model_rows_match_pipeline_embed_bitwise(self, world):
+    @pytest.mark.parametrize("with_noise", [True, False],
+                             ids=["noise-model", "no-noise-model"])
+    def test_noise_model_rows_match_pipeline_embed_bitwise(self, world, with_noise):
         tmp, vec, freq, sent = world
         noise = tmp / "noise.txt"
         assert run(["fit-noise", "--vectors", vec, "--freq", freq, "-k", "2",
@@ -96,11 +98,12 @@ class TestEmbed:
         mixed = tmp / "mixed.txt"
         mixed.write_text("\n".join(lines) + "\n")
         out = tmp / "emb.csv"
-        assert run(["embed", "--vectors", vec, "--freq", freq, "--noise-model",
-                    str(noise), "--out", str(out), str(mixed)]) == 0
+        noise_flag = ["--noise-model", str(noise)] if with_noise else []
+        assert run(["embed", "--vectors", vec, "--freq", freq, *noise_flag,
+                    "--out", str(out), str(mixed)]) == 0
         pipe = Pipeline(vectors=load_vectors(vec), frequencies=load_frequencies(freq),
                         config=EncoderConfig(a=0.05, dim=5),
-                        noise=denoiser.load(noise))
+                        noise=denoiser.load(noise) if with_noise else None)
         rows = out.read_text().splitlines()
         assert len(rows) == len(lines)
         for i, (line, row) in enumerate(zip(lines, rows)):
@@ -108,7 +111,7 @@ class TestEmbed:
             if i == 3:
                 assert np.isnan(values).all()
             else:
-                assert values.tobytes() == pipe.embed(line)[1].vector.tobytes()
+                assert values.tobytes() == pipe.embed(line)[1].tobytes()
 
     def test_data_dir_env_fallback(self, world, monkeypatch):
         tmp, vec, freq, sent = world
@@ -153,6 +156,14 @@ class TestFitNoise:
                     "--unsafe-ranges", "--out", str(out), sent]) == 1
         _one_line_error(capsys, "k must be >= 0, got -1")
         assert not out.exists()
+
+    def test_negative_k_refused_before_loading(self, world, capsys):
+        tmp, _, freq, sent = world
+        capsys.readouterr()
+        assert run(["fit-noise", "--vectors", str(tmp / "nope.txt"), "--freq", freq,
+                    "-k", "-1", "--unsafe-ranges", "--out", str(tmp / "out.txt"),
+                    sent]) == 1
+        _one_line_error(capsys, "k must be >= 0, got -1")
 
     def test_noise_model_changes_embeddings_by_projection(self, world):
         tmp, vec, freq, sent = world
@@ -366,6 +377,17 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_bench_leaves_evalkit_unloaded(self, world):
+        _, vec, freq, sent = world
+        proc = _python("-c", "import sys, contextlib, io\n"
+                       "from noppa.cli import main\n"
+                       "with contextlib.redirect_stdout(io.StringIO()):\n"
+                       f"    code = main(['bench', '--vectors', {vec!r}, '--freq', "
+                       f"{freq!r}, '--sentences', {sent!r}])\n"
+                       "print(code, 'noppa.evalkit' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 False\n"
+
     def test_lazy_submodules_still_import(self):
         proc = _python("-c", "import noppa; from noppa import evalkit; "
                        "print(evalkit.__name__, noppa.synth.__name__, "
@@ -524,6 +546,19 @@ class TestBadNumbers:
         assert run(["bench", "--vectors", vec, "--freq", freq, "--seed", "-1",
                     "--scale-n", "3", "--scale-count", "4"]) == 1
         _one_line_error(capsys, "seed must be >= 0, got -1")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--scale-n", "-3"], "scaling_n must be >= 1, got -3"),
+        (["--scale-n", "0"], "scaling_n must be >= 1, got 0"),
+        (["--scale-n", "3", "--scale-count", "-1"], "scaling_count must be >= 1, got -1"),
+        (["--scale-n", "3", "--scale-count", "0"], "scaling_count must be >= 1, got 0"),
+    ], ids=["negative-scale-n", "zero-scale-n", "negative-scale-count",
+            "zero-scale-count"])
+    def test_bench_probe_size(self, world, capsys, argv, message):
+        _, vec, freq, _ = world
+        capsys.readouterr()
+        assert run(["bench", "--vectors", vec, "--freq", freq, *argv]) == 1
+        _one_line_error(capsys, message)
 
     def test_weight_curve_infinite_a(self, world, capsys):
         _, _, freq, _ = world

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from scipy.linalg import subspace_angles
 
 from noppa import FormatError, InfeasibleConfigError, NoppaError, denoiser
-from noppa.encoder import SentenceEmbedding
 
 import oracles
 from file_strategies import noise_files
@@ -83,65 +82,70 @@ class TestFit:
             denoiser.fit(X, 1)
 
 
-def embedding_of(vec):
-    return SentenceEmbedding(vector=np.asarray(vec, dtype=np.float64),
-                             token_weights=np.ones(1))
-
-
 class TestRemove:
     def setup_method(self):
         rng = np.random.default_rng(5)
         self.X = rng.standard_normal((40, 6))
         self.model = denoiser.fit(self.X, 2)
 
+    def remove_one(self, v):
+        return denoiser.remove(np.asarray(v, dtype=np.float64)[None], self.model)[0]
+
     def test_k_zero_returns_input_exactly(self):
         model = denoiser.fit(self.X, 0)
-        emb = embedding_of(self.X[0])
-        assert denoiser.remove(emb, model) is emb
+        assert denoiser.remove(self.X, model) is self.X
+
+    def test_rows_bitwise_equal_one_row_remove_matrix(self):
+        # A single product over all rows changes the last bits; remove must not.
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((300, 60))
+        model = denoiser.fit(X, 10)
+        out = denoiser.remove(X, model)
+        assert out.shape == X.shape
+        for got, row in zip(out, X):
+            assert got.tobytes() == denoiser.remove_matrix(row, model).tobytes()
+
+    def test_empty_rows(self):
+        assert denoiser.remove(np.empty((0, 6)), self.model).shape == (0, 6)
 
     def test_orthogonal_vector_unchanged(self):
         rng = np.random.default_rng(6)
         v = rng.standard_normal(6)
         v -= (v @ self.model.vk.T) @ self.model.vk
-        out = denoiser.remove(embedding_of(v), self.model).vector
-        np.testing.assert_allclose(out, v, atol=1e-12)
+        np.testing.assert_allclose(self.remove_one(v), v, atol=1e-12)
 
     def test_noise_row_maps_to_zero(self):
-        out = denoiser.remove(embedding_of(self.model.vk[0]), self.model).vector
-        np.testing.assert_allclose(out, 0.0, atol=1e-8)
+        np.testing.assert_allclose(self.remove_one(self.model.vk[0]), 0.0, atol=1e-8)
 
     def test_result_orthogonal_to_rows(self):
         rng = np.random.default_rng(7)
         v = rng.standard_normal(6) * 5
-        out = denoiser.remove(embedding_of(v), self.model).vector
+        out = self.remove_one(v)
         for row in self.model.vk:
             assert abs(out @ row) <= 1e-8 * np.linalg.norm(v)
 
     def test_idempotent(self):
         rng = np.random.default_rng(8)
         v = rng.standard_normal(6)
-        once = denoiser.remove(embedding_of(v), self.model).vector
-        twice = denoiser.remove(embedding_of(once), self.model).vector
-        np.testing.assert_allclose(twice, once, atol=1e-10)
+        once = self.remove_one(v)
+        np.testing.assert_allclose(self.remove_one(once), once, atol=1e-10)
 
     def test_norm_non_increasing(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             v = rng.standard_normal(6) * rng.uniform(0.1, 10)
-            out = denoiser.remove(embedding_of(v), self.model).vector
-            assert np.linalg.norm(out) <= np.linalg.norm(v) + 1e-12
+            assert np.linalg.norm(self.remove_one(v)) <= np.linalg.norm(v) + 1e-12
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(10)
         v = rng.standard_normal(6)
-        engine = denoiser.remove(embedding_of(v), self.model).vector
         oracle = oracles.remove_projection(
             [float(x) for x in v], [list(map(float, r)) for r in self.model.vk])
-        np.testing.assert_allclose(engine, oracle, atol=1e-12)
+        np.testing.assert_allclose(self.remove_one(v), oracle, atol=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(NoppaError, match="dim mismatch"):
-            denoiser.remove(embedding_of(np.ones(5)), self.model)
+            denoiser.remove(np.ones((1, 5)), self.model)
 
 
 class TestSaveLoad:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from noppa import (EmptySentenceError, EncoderConfig, NoppaError, FrequencyTable,
                    TokenSequence, VectorTable, attention, contextual_embeddings,
                    encode, log_kernel, pos_embed, sfw)
+from noppa.encoder import token_weights
 
 from conftest import random_sentence
 import oracles
@@ -137,19 +138,21 @@ class TestEncode:
     def test_single_token_closed_form(self):
         vec = [0.5, -1.5, 2.0]
         vt, ft, cfg = single_token_world(0.2, 0.05, vec)
-        emb = encode(TokenSequence(tokens=["only"]), vt, ft, cfg)
+        toks = TokenSequence(tokens=["only"])
+        vector, _ = encode(toks, vt, ft, cfg)
         p = ft.get("only")
         expected = (cfg.a / (p + cfg.a / 2)) * np.concatenate([np.zeros(3), vec])
-        np.testing.assert_allclose(emb.vector, expected, atol=1e-12)
-        np.testing.assert_allclose(emb.token_weights, [cfg.a / (p + cfg.a / 2)])
+        np.testing.assert_allclose(vector, expected, atol=1e-12)
+        np.testing.assert_allclose(token_weights(toks, ft, cfg.a),
+                                   [cfg.a / (p + cfg.a / 2)])
 
     def test_output_length_is_twice_dim(self, tiny_world):
         vt, ft, cfg = tiny_world
         rng = np.random.default_rng(1)
         for n in (1, 2, 7, 30):
-            emb = encode(random_sentence(rng, vt, n), vt, ft, cfg)
-            assert emb.vector.shape == (2 * cfg.dim,)
-            assert np.isfinite(emb.vector).all()
+            vector, _ = encode(random_sentence(rng, vt, n), vt, ft, cfg)
+            assert vector.shape == (2 * cfg.dim,)
+            assert np.isfinite(vector).all()
 
     def test_two_token_hand_check_against_oracle(self):
         vectors = {"aa": [0.3, -0.7], "bb": [1.1, 0.4]}
@@ -157,11 +160,11 @@ class TestEncode:
         ft = FrequencyTable.from_counts({"aa": 3, "bb": 1})
         cfg = EncoderConfig(a=0.08, dim=2)
         toks = TokenSequence(tokens=["aa", "bb"])
-        emb = encode(toks, vt, ft, cfg)
+        vector, _ = encode(toks, vt, ft, cfg)
         # float32 storage rounds the inputs; feed the oracle the same values
         stored = [[float(v) for v in vt.get(t)] for t in toks.tokens]
         expected = oracles.sentence_embedding(stored, [0.75, 0.25], 0.08)
-        np.testing.assert_allclose(emb.vector, expected, atol=1e-12)
+        np.testing.assert_allclose(vector, expected, atol=1e-12)
 
     def test_empty_after_filtering(self, tiny_world):
         vt, ft, cfg = tiny_world
@@ -178,23 +181,25 @@ class TestEncode:
         vt = VectorTable.from_mapping({"raretok": [1.0, 0.0]})
         ft = FrequencyTable.from_counts({"other": 10})
         cfg = EncoderConfig(a=0.05, dim=2)
-        emb = encode(TokenSequence(tokens=["raretok"]), vt, ft, cfg)
-        np.testing.assert_allclose(emb.token_weights, [2.0])
+        toks = TokenSequence(tokens=["raretok"])
+        np.testing.assert_allclose(token_weights(toks, ft, cfg.a), [2.0])
+        # One word pools to its weight times concat(0, word vector).
+        vector, _ = encode(toks, vt, ft, cfg)
+        np.testing.assert_allclose(vector, [0.0, 0.0, 2.0, 0.0], rtol=0, atol=1e-15)
 
     def test_deterministic_bitwise(self, tiny_world):
         vt, ft, cfg = tiny_world
         rng = np.random.default_rng(3)
         toks = random_sentence(rng, vt, 12)
-        first = encode(toks, vt, ft, cfg).vector
-        second = encode(toks, vt, ft, cfg).vector
+        first, _ = encode(toks, vt, ft, cfg)
+        second, _ = encode(toks, vt, ft, cfg)
         assert first.tobytes() == second.tobytes()
 
-    def test_diagnostics_toggle(self, tiny_world):
+    def test_returns_attention_matrix(self, tiny_world):
         vt, ft, cfg = tiny_world
         rng = np.random.default_rng(4)
         toks = random_sentence(rng, vt, 5)
-        assert encode(toks, vt, ft, cfg).attention is None
-        att = encode(toks, vt, ft, cfg, diagnostics=True).attention
+        _, att = encode(toks, vt, ft, cfg)
         assert att.shape == (5, 5)
         np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-9)
 
@@ -219,8 +224,7 @@ class TestContextualStructure:
         vt, ft, cfg = tiny_world
         rng = np.random.default_rng(6)
         toks = random_sentence(rng, vt, 8)
-        per_word, att = contextual_embeddings(toks, vt, cfg, one_hot_weights(8),
-                                              want_attention=True)
+        per_word, att = contextual_embeddings(toks, vt, cfg, one_hot_weights(8))
         raw = np.stack([vt.get(t) for t in toks.tokens]).astype(np.float64)
         pv = raw + np.stack([pos_embed(i, cfg.dim) for i in range(len(toks))])
         for i in range(len(toks)):
@@ -236,11 +240,11 @@ class TestContextualStructure:
         cfg = EncoderConfig(a=0.05, dim=vt.dim, use_positions=False)
         rng = np.random.default_rng(7)
         toks = random_sentence(rng, vt, 10)
-        base = encode(toks, vt, ft, cfg).vector
+        base, _ = encode(toks, vt, ft, cfg)
         for _ in range(5):
             perm = list(rng.permutation(len(toks)))
             shuffled = TokenSequence(tokens=[toks.tokens[i] for i in perm])
-            np.testing.assert_allclose(encode(shuffled, vt, ft, cfg).vector,
+            np.testing.assert_allclose(encode(shuffled, vt, ft, cfg)[0],
                                        base, atol=1e-10)
 
     def test_positions_break_permutation_invariance(self, tiny_world):
@@ -248,12 +252,12 @@ class TestContextualStructure:
         rng = np.random.default_rng(8)
         toks = random_sentence(rng, vt, 10)
         assert len(set(toks.tokens)) > 1
-        base = encode(toks, vt, ft, cfg).vector
+        base, _ = encode(toks, vt, ft, cfg)
         changed = False
         for _ in range(10):
             perm = list(rng.permutation(len(toks)))
             shuffled = TokenSequence(tokens=[toks.tokens[i] for i in perm])
-            if not np.allclose(encode(shuffled, vt, ft, cfg).vector, base,
+            if not np.allclose(encode(shuffled, vt, ft, cfg)[0], base,
                                atol=1e-10):
                 changed = True
                 break
@@ -293,7 +297,7 @@ class TestPairKernel:
     def test_matches_per_word_engine(self, n, use_positions, rows):
         vt, toks, cfg, raw, pv, rng = self.world(n, 24, use_positions, n + 7 * rows)
         weights = rng.uniform(0.1, 2.0, (rows, n))
-        got, att = contextual_embeddings(toks, vt, cfg, weights, want_attention=True)
+        got, att = contextual_embeddings(toks, vt, cfg, weights)
         per_word = np.concatenate([oracles.contextual_part(pv, att), raw], axis=1)
         assert got.shape == (rows, 2 * cfg.dim)
         for row, w in zip(got, weights):

@@ -6,9 +6,9 @@ import pytest
 from noppa import (EmptySentenceError, EncoderConfig, FormatError,
                    InfeasibleConfigError, NoppaError, TokenSequence,
                    contextual_embeddings, encode, evalkit, sfw, synth)
-from noppa.evalkit import (MLPClassifier, encode_batch,
-                           grid_search, load_dataset, pair_features, subset,
-                           train_classifier)
+from noppa.encoder import encode_batch
+from noppa.evalkit import (MLPClassifier, grid_search, load_dataset,
+                           pair_features, subset, train_classifier)
 
 from conftest import random_frequencies, random_sentence, random_table
 import oracles
@@ -119,7 +119,7 @@ class TestEncodeBatch:
             assert batch[a].shape == (len(lengths), 2 * vt.dim)
             per_a = EncoderConfig(a=a, dim=vt.dim, use_positions=use_positions)
             for row, toks in zip(batch[a], token_lists):
-                expected = encode(toks, vt, ft, per_a).vector
+                expected = encode(toks, vt, ft, per_a)[0]
                 assert row.tobytes() == expected.tobytes()
 
     def test_default_a_is_config_a(self, tiny_world):
@@ -127,7 +127,7 @@ class TestEncodeBatch:
         toks = random_sentence(np.random.default_rng(11), vt, 4)
         batch = encode_batch([toks], vt, ft, cfg)
         assert list(batch) == [cfg.a]
-        assert batch[cfg.a][0].tobytes() == encode(toks, vt, ft, cfg).vector.tobytes()
+        assert batch[cfg.a][0].tobytes() == encode(toks, vt, ft, cfg)[0].tobytes()
 
     @pytest.mark.parametrize("use_positions", [True, False])
     def test_matches_scalar_oracle(self, tiny_world, use_positions):

@@ -102,8 +102,8 @@ class TestQualitativeAnalyses:
     def test_bleeding_attends_to_injured_top3(self, pipe):
         sentence = ("David got injured during rough hiking in the mountain , "
                     "so he is bleeding right now")
-        toks, emb = pipe.embed(sentence, diagnostics=True, denoise=False)
-        row = emb.attention[toks.tokens.index("bleeding")]
+        toks, _, att = pipe.embed(sentence, denoise=False)
+        row = att[toks.tokens.index("bleeding")]
         ranked = sorted(zip(toks.tokens, row), key=lambda p: -p[1])
         top3 = [t for t, _ in ranked[:3]]
         assert "injured" in top3, f"top3 was {ranked[:3]}"
