@@ -60,15 +60,9 @@ def _probe_line(vectors, frequencies, config, k, n, count, repetitions, seed) ->
             f"(ratio {denoise_long / denoise_short:.2f})")
 
 
-def report(sentences, vectors: VectorTable, frequencies: FrequencyTable,
-           config: EncoderConfig, k: int = 0, repetitions: int = 3,
-           scaling_n: int | None = None, scaling_count: int = 1000,
-           seed: int = 0) -> str:
-    """Text of ``noppa bench``: the machine, the encode time of
-    ``sentences`` (raw strings) over ``repetitions`` passes and, when
-    ``scaling_n`` is given, the scaling probe on ``scaling_count``
-    sentences sampled from the vector vocabulary with ``seed``.  The
-    probe's noise model removes ``max(k, 1)`` directions."""
+def check_options(k: int, repetitions: int, scaling_n: int | None,
+                  scaling_count: int, seed: int) -> None:
+    """Reject the ``report`` options that it cannot run with."""
     if repetitions < 3:
         raise NoppaError(f"repetitions must be >= 3, got {repetitions}")
     if k < 0:
@@ -79,6 +73,18 @@ def report(sentences, vectors: VectorTable, frequencies: FrequencyTable,
         raise NoppaError(f"scaling_n must be >= 1, got {scaling_n}")
     if scaling_count < 1:
         raise NoppaError(f"scaling_count must be >= 1, got {scaling_count}")
+
+
+def report(sentences, vectors: VectorTable, frequencies: FrequencyTable,
+           config: EncoderConfig, k: int = 0, repetitions: int = 3,
+           scaling_n: int | None = None, scaling_count: int = 1000,
+           seed: int = 0) -> str:
+    """Text of ``noppa bench``: the machine, the encode time of
+    ``sentences`` (raw strings) over ``repetitions`` passes and, when
+    ``scaling_n`` is given, the scaling probe on ``scaling_count``
+    sentences sampled from the vector vocabulary with ``seed``.  The
+    probe's noise model removes ``max(k, 1)`` directions."""
+    check_options(k, repetitions, scaling_n, scaling_count, seed)
     token_lists = [t for t in (tokenize(s, vectors) for s in sentences) if len(t)]
     times, _ = _encode_times(token_lists, vectors, frequencies, config, repetitions)
     lines = [f"machine: {platform.platform()} | python {platform.python_version()} | "

@@ -12,15 +12,18 @@ identical flags produce byte-identical primary output files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import math
 import os
 import sys
 
+import numpy as np
+
 # evalkit, analysis and bench are imported by the subcommands that run
 # them, so that embed and fit-noise start without them.
-from . import denoiser
-from .encoder import VARIANTS, EncoderConfig, check_ranges
+from . import csvout, denoiser
+from .encoder import VARIANTS, EncoderConfig, check_a, check_ranges
 from .errors import InfeasibleConfigError, NoppaError
 from .lexicon import load_frequencies, load_vectors, read_lines
 from .pipeline import Pipeline
@@ -85,6 +88,7 @@ def _build_pipeline(args) -> Pipeline:
     k = getattr(args, "k", 0)  # attention and contrib take k from --noise-model
     if not args.unsafe_ranges:
         check_ranges([args.a], [k])
+    check_a(args.a)
     if k < 0:  # read by fit-noise; refused for embed alike
         raise NoppaError(f"k must be >= 0, got {k}")
     vectors = load_vectors(_open_input(args.vectors))
@@ -98,29 +102,46 @@ def _build_pipeline(args) -> Pipeline:
                     config=config, noise=noise)
 
 
-def _write_out(args, text: str):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_out(args, pieces):
+    """Write the text pieces, in order, to --out or else to stdout."""
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.writelines(pieces)
 
 
 def _read_sentences(path) -> list[str]:
     return [line for _, line in read_lines(_open_input(path))]
 
 
+# Lines of embedding CSV formatted and written at a time.  The formatter's
+# temporaries take about 0.2 MB per line at 2d = 600; at 16 lines they stay
+# below the peak of the embedding stage itself.
+_CSV_CHUNK_LINES = 16
+
+
+def _embedding_csv(rows, kept, count):
+    """The CSV of ``count`` input lines, chunk by chunk: line i is the row of
+    ``rows`` that ``kept`` gives it, or all nan for a line not in ``kept``."""
+    if count == 0:
+        yield "\n"  # an empty input gives one empty line
+        return
+    position = np.full(count, -1)
+    position[kept] = np.arange(len(kept))
+    for start in range(0, count, _CSV_CHUNK_LINES):
+        where = position[start:start + _CSV_CHUNK_LINES]
+        block = np.full((where.size, rows.shape[1]), np.nan)
+        block[where >= 0] = rows[where[where >= 0]]
+        yield csvout.format_rows(block).decode("ascii")
+
+
 def cmd_embed(args) -> int:
     pipe = _build_pipeline(args)
     lines = _read_sentences(args.sentences)
     rows, kept = pipe.embed_lines(lines)
-    out = [",".join(["nan"] * 2 * pipe.config.dim)] * len(lines)
-    for idx, vec in zip(kept, rows):
-        out[idx] = ",".join(map(repr, vec.tolist()))
     for idx in sorted(set(range(len(lines))) - set(kept)):
         print(f"warning: line {idx + 1} produced no embeddable tokens",
               file=sys.stderr)
-    _write_out(args, "\n".join(out) + "\n")
+    _write_out(args, _embedding_csv(rows, kept, len(lines)))
     return EXIT_OK
 
 
@@ -141,7 +162,7 @@ def cmd_attention(args) -> int:
     from . import analysis
 
     pipe = _build_pipeline(args)
-    _write_out(args, analysis.attention_report(args.sentence, pipe))
+    _write_out(args, [analysis.attention_report(args.sentence, pipe)])
     return EXIT_OK
 
 
@@ -151,7 +172,7 @@ def cmd_contrib(args) -> int:
     pipe = _build_pipeline(args)
     report = analysis.contribution_report(args.sentence, pipe,
                                           denoised=not args.pre_denoise)
-    _write_out(args, analysis.contribution_csv(report, pipe))
+    _write_out(args, [analysis.contribution_csv(report, pipe)])
     return EXIT_OK
 
 
@@ -178,7 +199,7 @@ def cmd_weight_curve(args) -> int:
         groups[name] = [t for t in tokens.split(",") if t]
     curve = analysis.weight_curve(groups, frequencies,
                                   _parse_grid(args.a_grid, float))
-    _write_out(args, analysis.weight_curve_csv(curve, frequencies))
+    _write_out(args, [analysis.weight_curve_csv(curve, frequencies)])
     return EXIT_OK
 
 
@@ -212,6 +233,9 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     from . import bench
 
+    check_a(args.a)
+    bench.check_options(args.k, args.reps, args.scale_n, args.scale_count,
+                        args.seed)
     vectors = load_vectors(_open_input(args.vectors))
     frequencies = load_frequencies(_open_input(args.freq))
     config = EncoderConfig(a=args.a, dim=vectors.dim,

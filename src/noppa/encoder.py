@@ -13,6 +13,7 @@ per a (``eval``, ``bench``).  Both weight words with ``token_weights``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,8 +36,7 @@ class EncoderConfig:
     use_positions: bool = True
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise NoppaError(f"a must be positive, got {self.a}")
+        check_a(self.a)
         if self.dim < 1:
             raise NoppaError(f"dim must be >= 1, got {self.dim}")
 
@@ -48,6 +48,12 @@ K_RANGE = (0, 24)
 
 # The embedders ``eval --variant`` compares (``evalkit.embed_split``).
 VARIANTS = ("noppa", "ce_avg", "ce_avg_nr", "ce_sfw", "glove_avg", "freq_weighted_avg")
+
+
+def check_a(a: float) -> None:
+    """Reject an ``a`` that is not a finite positive number."""
+    if not (a > 0 and math.isfinite(a)):
+        raise NoppaError(f"a must be finite and positive, got {a}")
 
 
 def check_ranges(a_grid, k_grid):

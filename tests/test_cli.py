@@ -113,6 +113,42 @@ class TestEmbed:
             else:
                 assert values.tobytes() == pipe.embed(line)[1].tobytes()
 
+    @pytest.mark.parametrize("with_noise", [True, False],
+                             ids=["noise-model", "no-noise-model"])
+    def test_stdout_and_out_are_repr_of_embed_lines_rows(self, world, capsys,
+                                                         with_noise):
+        tmp, vec, freq, sent = world
+        noise = tmp / "noise.txt"
+        assert run(["fit-noise", "--vectors", vec, "--freq", freq, "-k", "2",
+                    "--out", str(noise), sent]) == 0
+        # 70 lines, more than one chunk of the CSV writer holds; line 66 is
+        # all out of vocabulary and line 67 has a single token.
+        lines = (tmp / "sentences.txt").read_text().splitlines() * 5
+        lines[65:67] = ["zzzz qqqq", "cake"]
+        many = tmp / "many.txt"
+        many.write_text("\n".join(lines) + "\n")
+        out = tmp / "emb.csv"
+        noise_flag = ["--noise-model", str(noise)] if with_noise else []
+        argv = ["embed", "--vectors", vec, "--freq", freq, *noise_flag]
+        capsys.readouterr()
+        assert run(argv + ["--out", str(out), str(many)]) == 0
+        assert capsys.readouterr() == ("", "warning: line 66 produced no embeddable tokens\n")
+        assert run(argv + [str(many)]) == 0
+        stdout = capsys.readouterr().out
+
+        pipe = Pipeline(vectors=load_vectors(vec), frequencies=load_frequencies(freq),
+                        config=EncoderConfig(a=0.05, dim=5),
+                        noise=denoiser.load(noise) if with_noise else None)
+        rows, kept = pipe.embed_lines(lines)
+        expected = [",".join(["nan"] * 10)] * len(lines)
+        for i, row in zip(kept, rows):
+            expected[i] = ",".join(map(repr, row.tolist()))
+        expected = "\n".join(expected) + "\n"
+        assert out.read_bytes() == expected.encode()
+        assert stdout == expected
+        contextual = expected.splitlines()[66].split(",")[:5]
+        assert (contextual == ["0.0"] * 5) != with_noise
+
     def test_data_dir_env_fallback(self, world, monkeypatch):
         tmp, vec, freq, sent = world
         monkeypatch.setenv("NOPPA_DATA_DIR", str(tmp))
@@ -558,6 +594,34 @@ class TestBadNumbers:
         _, vec, freq, _ = world
         capsys.readouterr()
         assert run(["bench", "--vectors", vec, "--freq", freq, *argv]) == 1
+        _one_line_error(capsys, message)
+
+    @pytest.mark.parametrize("a,message", [
+        ("inf", "a must be finite and positive, got inf"),
+        ("-1", "a must be finite and positive, got -1.0"),
+    ], ids=["infinite", "negative"])
+    @pytest.mark.parametrize("sub", ["embed", "attention"])
+    def test_bad_a_refused_before_loading(self, world, capsys, sub, a, message):
+        tmp, _, freq, sent = world
+        target = [sent] if sub == "embed" else ["the girl"]
+        capsys.readouterr()
+        assert run([sub, "--vectors", str(tmp / "nope.txt"), "--freq", freq,
+                    "-a", a, "--unsafe-ranges", *target]) == 1
+        _one_line_error(capsys, message)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--reps", "1"], "repetitions must be >= 3, got 1"),
+        (["-k", "-2"], "k must be >= 0, got -2"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--scale-n", "0"], "scaling_n must be >= 1, got 0"),
+        (["--scale-count", "0"], "scaling_count must be >= 1, got 0"),
+        (["-a", "inf"], "a must be finite and positive, got inf"),
+    ], ids=["reps", "k", "seed", "scale-n", "scale-count", "a"])
+    def test_bench_options_checked_before_loading(self, world, capsys, argv, message):
+        tmp, _, freq, _ = world
+        capsys.readouterr()
+        assert run(["bench", "--vectors", str(tmp / "nope.txt"), "--freq", freq,
+                    *argv]) == 1
         _one_line_error(capsys, message)
 
     def test_weight_curve_infinite_a(self, world, capsys):

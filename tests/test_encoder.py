@@ -125,6 +125,11 @@ class TestSmoothFrequencyWeight:
         with pytest.raises(NoppaError):
             sfw(0.5, 0.0)
 
+    @pytest.mark.parametrize("a", [0.0, -1.0, float("inf"), float("nan")])
+    def test_config_rejects_a_that_is_not_finite_and_positive(self, a):
+        with pytest.raises(NoppaError, match="a must be finite and positive"):
+            EncoderConfig(a=a, dim=2)
+
 
 def single_token_world(p, a, vec):
     vt = VectorTable.from_mapping({"only": vec})
