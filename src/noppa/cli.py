@@ -96,6 +96,9 @@ def _build_pipeline(args) -> Pipeline:
     noise = None
     if getattr(args, "noise_model", None):
         noise = denoiser.load(_open_input(args.noise_model))
+        if noise.dim != 2 * vectors.dim:  # refused before --out is opened
+            raise NoppaError(f"dim mismatch: vectors dim {2 * vectors.dim} "
+                             f"vs model dim {noise.dim}")
     config = EncoderConfig(a=args.a, dim=vectors.dim,
                            use_positions=not args.no_positions)
     return Pipeline(vectors=vectors, frequencies=frequencies,
@@ -103,8 +106,9 @@ def _build_pipeline(args) -> Pipeline:
 
 
 def _write_out(args, pieces):
-    """Write the text pieces, in order, to --out or else to stdout."""
-    with (open(args.out, "w", encoding="utf-8") if args.out
+    """Write the text pieces, in order, to --out (each flushed as it is
+    written) or else to stdout."""
+    with (open(args.out, "w", encoding="utf-8", buffering=1) if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         fh.writelines(pieces)
 
@@ -119,29 +123,24 @@ def _read_sentences(path) -> list[str]:
 _CSV_CHUNK_LINES = 16
 
 
-def _embedding_csv(rows, kept, count):
-    """The CSV of ``count`` input lines, chunk by chunk: line i is the row of
-    ``rows`` that ``kept`` gives it, or all nan for a line not in ``kept``."""
-    if count == 0:
-        yield "\n"  # an empty input gives one empty line
-        return
-    position = np.full(count, -1)
-    position[kept] = np.arange(len(kept))
-    for start in range(0, count, _CSV_CHUNK_LINES):
-        where = position[start:start + _CSV_CHUNK_LINES]
-        block = np.full((where.size, rows.shape[1]), np.nan)
-        block[where >= 0] = rows[where[where >= 0]]
-        yield csvout.format_rows(block).decode("ascii")
+def _embedding_csv(pipe, lines):
+    """The CSV of ``lines``, a chunk at a time as they are embedded: row i is
+    line i's vector, or all nan (and a warning) if it has no known token."""
+    nan_row = np.full(2 * pipe.config.dim, np.nan)
+    block = []
+    for i, row in enumerate(pipe.embed_lines(lines), 1):
+        if row is None:
+            print(f"warning: line {i} produced no embeddable tokens", file=sys.stderr)
+            row = nan_row
+        block.append(row)
+        if len(block) == _CSV_CHUNK_LINES or i == len(lines):
+            yield csvout.format_rows(np.array(block)).decode("ascii")
+            block = []
 
 
 def cmd_embed(args) -> int:
     pipe = _build_pipeline(args)
-    lines = _read_sentences(args.sentences)
-    rows, kept = pipe.embed_lines(lines)
-    for idx in sorted(set(range(len(lines))) - set(kept)):
-        print(f"warning: line {idx + 1} produced no embeddable tokens",
-              file=sys.stderr)
-    _write_out(args, _embedding_csv(rows, kept, len(lines)))
+    _write_out(args, _embedding_csv(pipe, _read_sentences(args.sentences)))
     return EXIT_OK
 
 
@@ -149,7 +148,8 @@ def cmd_fit_noise(args) -> int:
     if not args.out:
         raise NoppaError("--out is required for fit-noise")
     pipe = _build_pipeline(args)
-    rows, _ = pipe.embed_lines(_read_sentences(args.sentences))
+    rows = [row for row in pipe.embed_lines(_read_sentences(args.sentences))
+            if row is not None]
     if len(rows) < max(args.k, 1):
         raise InfeasibleConfigError(
             f"k={args.k} but only {len(rows)} sentences encoded successfully")
@@ -206,6 +206,13 @@ def cmd_weight_curve(args) -> int:
 def cmd_eval(args) -> int:
     from . import evalkit
 
+    a_grid = _parse_grid(args.a_grid, float)
+    k_grid = _parse_grid(args.k_grid, int)
+    seeds = _parse_grid(args.seeds, int)
+    if not args.unsafe_ranges:
+        check_ranges(a_grid, k_grid)
+    for a in a_grid:
+        check_a(a)
     vectors = load_vectors(_open_input(args.vectors))
     frequencies = load_frequencies(_open_input(args.freq))
     dataset = evalkit.load_dataset(args.name,
@@ -214,9 +221,7 @@ def cmd_eval(args) -> int:
                              args.test_limit)
     result = evalkit.grid_search(
         dataset, vectors, frequencies,
-        a_grid=_parse_grid(args.a_grid, float),
-        k_grid=_parse_grid(args.k_grid, int),
-        seeds=_parse_grid(args.seeds, int), variant=args.variant,
+        a_grid=a_grid, k_grid=k_grid, seeds=seeds, variant=args.variant,
         use_positions=not args.no_positions,
         fit_on="train+test" if args.fit_on_test else "train",
         enforce_ranges=not args.unsafe_ranges,

@@ -1,11 +1,12 @@
 """End-to-end composition: tokenize -> encode -> optional noise removal.
 
 ``embed`` embeds one sentence and also returns its attention matrix;
-``embed_lines`` embeds a file for the CLI, one ``embed`` per line.
+``embed_lines`` yields the vector of each line of a file, one ``embed`` each.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,18 +37,11 @@ class Pipeline:
             vector = denoiser.remove(vector[None], self.noise)[0]
         return toks, vector, att
 
-    def embed_lines(self, lines: list[str]) -> tuple[np.ndarray, list[int]]:
-        """Embed many sentences; row i is ``embed(lines[kept[i]])``'s vector.
-
-        Returns (rows, kept): lines with no in-vocabulary token are left out
-        of ``rows`` and their indices out of ``kept``.
-        """
-        rows = np.empty((len(lines), 2 * self.config.dim))
-        kept: list[int] = []
-        for i, raw in enumerate(lines):
+    def embed_lines(self, lines: list[str]) -> Iterator[np.ndarray | None]:
+        """Yield ``embed(line)``'s vector for each line in order, or None for
+        a line with no in-vocabulary token."""
+        for raw in lines:
             try:
-                rows[len(kept)] = self.embed(raw)[1]
+                yield self.embed(raw)[1]
             except EmptySentenceError:
-                continue
-            kept.append(i)
-        return rows[:len(kept)], kept
+                yield None

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import logging
+import math
 import os
 import re
 import subprocess
@@ -139,15 +140,56 @@ class TestEmbed:
         pipe = Pipeline(vectors=load_vectors(vec), frequencies=load_frequencies(freq),
                         config=EncoderConfig(a=0.05, dim=5),
                         noise=denoiser.load(noise) if with_noise else None)
-        rows, kept = pipe.embed_lines(lines)
-        expected = [",".join(["nan"] * 10)] * len(lines)
-        for i, row in zip(kept, rows):
-            expected[i] = ",".join(map(repr, row.tolist()))
-        expected = "\n".join(expected) + "\n"
+        vectors = list(pipe.embed_lines(lines))
+        assert [i for i, row in enumerate(vectors) if row is None] == [65]
+        expected = "".join(",".join(map(repr, [math.nan] * 10 if row is None
+                                            else row.tolist())) + "\n"
+                           for row in vectors)
         assert out.read_bytes() == expected.encode()
         assert stdout == expected
         contextual = expected.splitlines()[66].split(",")[:5]
         assert (contextual == ["0.0"] * 5) != with_noise
+
+    @pytest.mark.parametrize("target", ["stdout", "--out"])
+    def test_rows_are_written_as_lines_are_embedded(self, world, monkeypatch,
+                                                    target):
+        tmp, vec, freq, _ = world
+        lines = (tmp / "sentences.txt").read_text().splitlines() * 3  # 45 lines
+        many = tmp / "many.txt"
+        many.write_text("\n".join(lines) + "\n")
+        out, stdout = tmp / "emb.csv", io.StringIO()
+
+        def written():
+            text = out.read_text() if target == "--out" else stdout.getvalue()
+            return text.count("\n")
+
+        seen = []  # CSV lines written when each line is embedded
+        embed = Pipeline.embed
+
+        def recording_embed(self, raw, *args, **kwargs):
+            seen.append(written())
+            return embed(self, raw, *args, **kwargs)
+
+        monkeypatch.setattr(Pipeline, "embed", recording_embed)
+        out_flag = ["--out", str(out)] if target == "--out" else []
+        with contextlib.redirect_stdout(stdout):
+            assert run(["embed", "--vectors", vec, "--freq", freq, *out_flag,
+                        str(many)]) == 0
+        # line 17 is embedded after the first 16 rows are written, and so on
+        assert seen == [16 * (i // 16) for i in range(len(lines))]
+        assert written() == len(lines)
+
+    def test_empty_input_writes_nothing(self, world, capsys):
+        tmp, vec, freq, _ = world
+        empty = tmp / "empty.txt"
+        empty.write_text("")
+        out = tmp / "emb.csv"
+        argv = ["embed", "--vectors", vec, "--freq", freq]
+        capsys.readouterr()
+        assert run(argv + [str(empty)]) == 0
+        assert run(argv + ["--out", str(out), str(empty)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_bytes() == b""
 
     def test_data_dir_env_fallback(self, world, monkeypatch):
         tmp, vec, freq, sent = world
@@ -462,6 +504,25 @@ class TestAnalysisCommands:
                     "the girl eats cake"]) == 0
         assert capsys.readouterr().out.startswith("# a=0.05 k=2 use_positions=True\n")
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    @pytest.mark.parametrize("sub", ["embed", "contrib", "attention"])
+    def test_noise_model_dim_mismatch_before_out(self, sub, existing, world, capsys):
+        tmp, vec, freq, sent = world
+        noise = tmp / "noise6.txt"
+        denoiser.save(denoiser.fit(np.eye(6), 1), noise)
+        out = tmp / "out.csv"
+        if existing:
+            out.write_bytes(b"kept\n")
+        target = sent if sub == "embed" else "the girl eats cake"
+        capsys.readouterr()
+        assert run([sub, "--vectors", vec, "--freq", freq, "--noise-model",
+                    str(noise), "--out", str(out), target]) == 1
+        _one_line_error(capsys, "dim mismatch: vectors dim 10 vs model dim 6")
+        if existing:
+            assert out.read_bytes() == b"kept\n"
+        else:
+            assert not out.exists()
+
     def test_weight_curve(self, world, capsys):
         _, _, freq, _ = world
         assert run(["weight-curve", "--freq", freq,
@@ -607,6 +668,22 @@ class TestBadNumbers:
         capsys.readouterr()
         assert run([sub, "--vectors", str(tmp / "nope.txt"), "--freq", freq,
                     "-a", a, "--unsafe-ranges", *target]) == 1
+        _one_line_error(capsys, message)
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["--a-grid", "-1", "--unsafe-ranges"], 1,
+         "a must be finite and positive, got -1.0"),
+        (["--a-grid", "0.05,0.9"], 3, "a=0.9 outside documented range"),
+        (["--k-grid", "30"], 3, "k=30 outside documented range"),
+        (["--seeds", ",,"], 1, "cannot parse grid ',,'"),
+    ], ids=["negative-a", "a-range", "k-range", "seeds"])
+    def test_eval_grids_checked_before_loading(self, world, capsys, argv, code,
+                                               message):
+        tmp, _, freq, _ = world
+        capsys.readouterr()
+        assert run(["eval", "--vectors", str(tmp / "nope.txt"), "--freq", freq,
+                    "--a-grid", "0.05", "--k-grid", "0", "--seeds", "1", *argv,
+                    str(tmp / "x.tsv")]) == code
         _one_line_error(capsys, message)
 
     @pytest.mark.parametrize("argv,message", [
