@@ -209,10 +209,8 @@ def cmd_eval(args) -> int:
     a_grid = _parse_grid(args.a_grid, float)
     k_grid = _parse_grid(args.k_grid, int)
     seeds = _parse_grid(args.seeds, int)
-    if not args.unsafe_ranges:
-        check_ranges(a_grid, k_grid)
-    for a in a_grid:
-        check_a(a)
+    evalkit.check_grid(a_grid, k_grid, seeds, enforce_ranges=not args.unsafe_ranges)
+    evalkit.check_limits(args.train_limit, args.dev_limit, args.test_limit)
     vectors = load_vectors(_open_input(args.vectors))
     frequencies = load_frequencies(_open_input(args.freq))
     dataset = evalkit.load_dataset(args.name,
@@ -223,7 +221,7 @@ def cmd_eval(args) -> int:
         dataset, vectors, frequencies,
         a_grid=a_grid, k_grid=k_grid, seeds=seeds, variant=args.variant,
         use_positions=not args.no_positions,
-        fit_on="train+test" if args.fit_on_test else "train",
+        fit_on_test=args.fit_on_test,
         enforce_ranges=not args.unsafe_ranges,
         log_path=args.log)
     print(f"{dataset.name} {args.variant}: best dev run a={result.best.a:g} "

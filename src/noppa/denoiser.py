@@ -5,6 +5,8 @@ The right singular vectors are obtained from the eigendecomposition of the
 D x D Gram matrix X^T X (D = 2*dim), which is much cheaper than a full SVD
 when the row count is large.  No mean-centering is applied before the
 decomposition; that is a deliberate literal reading of the fitting recipe.
+The k smallest directions of one decomposition are nested: ``smallest(k)``
+of a fit is bit for bit the fit with k directions, so ``eval`` fits once per a.
 
 ``remove_matrix`` subtracts the projection from a whole matrix in one
 product (``eval``).  ``remove`` does it one row at a time, so each row has
@@ -41,11 +43,17 @@ class NoiseModel:
     def k(self) -> int:
         return self.vk.shape[0]
 
+    def smallest(self, k: int) -> "NoiseModel":
+        """The model of the k smallest of these directions (the last k
+        rows): the same bits as ``fit`` of the same matrix with k."""
+        if not 0 <= k <= self.k:
+            raise NoppaError(f"k must be in 0..{self.k}, got {k}")
+        return NoiseModel(vk=self.vk[self.k - k:], dim=self.dim,
+                          singular_values=self.singular_values[self.k - k:])
+
 
 def _fix_signs(rows: np.ndarray) -> np.ndarray:
     """Scale each row so its largest-magnitude component is positive."""
-    if rows.shape[0] == 0:
-        return rows
     lead = np.abs(rows).argmax(axis=1)
     signs = np.sign(rows[np.arange(rows.shape[0]), lead])
     signs[signs == 0] = 1.0

@@ -2,6 +2,9 @@
 whole splits (through ``encoder.encode_batch``), a small MLP classifier,
 baseline embedders and grid search.
 
+``grid_search`` embeds each split once for the whole a grid and fits the
+noise model once per a, for the largest k (``NoiseModel.smallest`` gives the rest).
+
 The classifier follows a fixed protocol: one hidden layer of 50 rectified
 units, softmax cross-entropy, Adam with batch size 64 and no dropout,
 early stopping on dev accuracy with patience 5, at most 50 epochs, and
@@ -10,7 +13,6 @@ all randomness drawn from one seed.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import logging
 import os
@@ -20,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import denoiser
-from .encoder import VARIANTS, EncoderConfig, check_ranges, encode_batch
+from .encoder import VARIANTS, EncoderConfig, check_a, check_ranges, encode_batch
 # Unused here, but benchmark/spans.py still wraps it at this binding.
 from .encoder import contextual_embeddings  # noqa: F401
 from .errors import FormatError, NoppaError
@@ -34,6 +36,7 @@ _UNIFORM_VARIANTS = frozenset({"ce_avg", "ce_avg_nr", "glove_avg"})
 _RAW_VARIANTS = frozenset({"glove_avg", "freq_weighted_avg"})
 # Variants that apply noise removal.
 _NR_VARIANTS = frozenset({"noppa", "ce_avg_nr"})
+_SPLITS = ("train", "dev", "test")
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,7 @@ def load_dataset(name: str, path) -> LabeledDataset:
     """
     if os.path.isdir(path):
         splits = []
-        for split in ("train", "dev", "test"):
+        for split in _SPLITS:
             split_path = os.path.join(path, f"{split}.tsv")
             rows = _read_tsv(split_path) if os.path.exists(split_path) else []
             splits.append(_coerce_labels(rows, name))
@@ -162,23 +165,26 @@ def load_polarity_pair(name: str, pos_path, neg_path) -> LabeledDataset:
     return LabeledDataset(name, *_hash_split(labeled), label_count=2)
 
 
+def check_limits(*limits: int | None) -> None:
+    """Refuse a negative train, dev or test limit (``subset``)."""
+    for split, limit in zip(_SPLITS, limits):
+        if limit is not None and limit < 0:
+            raise NoppaError(f"{split} limit must be >= 0, got {limit}")
+
+
 def subset(dataset: LabeledDataset, train_limit: int | None = None,
            dev_limit: int | None = None, test_limit: int | None = None) -> LabeledDataset:
     """Deterministic prefix subset of each split; a limit of None or 0
     keeps the whole split."""
-    splits = {}
-    for split, limit in (("train", train_limit), ("dev", dev_limit),
-                         ("test", test_limit)):
-        if limit is not None and limit < 0:
-            raise NoppaError(f"{split} limit must be >= 0, got {limit}")
-        rows = getattr(dataset, split)
-        splits[split] = rows[:limit] if limit else rows
-    return replace(dataset, **splits)
+    limits = (train_limit, dev_limit, test_limit)
+    check_limits(*limits)
+    return replace(dataset, **{split: getattr(dataset, split)[:limit or None]
+                               for split, limit in zip(_SPLITS, limits)})
 
 
 def pair_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Standard pair featurization: concat(u, v, |u - v|)."""
-    return np.concatenate([u, v, np.abs(u - v)])
+    """Standard pair featurization along the last axis: concat(u, v, |u - v|)."""
+    return np.concatenate([u, v, np.abs(u - v)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -187,35 +193,31 @@ def pair_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def embed_split(sentences, variant: str, config: EncoderConfig,
                 vectors: VectorTable, frequencies: FrequencyTable,
-                a_values: list[float] | None = None):
-    """Embed a list of sentences (all str or all pairs, as
-    ``LabeledDataset`` checks) with ``variant`` for each a in ``a_values``.
+                a_values: list[float] | None = None, pairs: bool = False):
+    """Embed a list of sentences (all str, or all (first, second) pairs
+    when ``pairs``) with ``variant`` for each a in ``a_values``.
 
     Returns (dict a -> (l x D) matrix, kept_indices).  Sentences whose
     tokens are all out of vocabulary are dropped; ``kept_indices`` lists
-    the others.
+    the others.  With none left, each matrix has 0 rows and the width
+    ``pairs`` implies.
     """
     a_values = a_values if a_values is not None else [config.a]
     kept: list[int] = []
     token_lists: list[list[TokenSequence]] = []
     for i, sentence in enumerate(sentences):
-        parts = sentence if isinstance(sentence, tuple) else (sentence,)
-        toks = [tokenize(p, vectors) for p in parts]
+        toks = [tokenize(p, vectors) for p in (sentence if pairs else (sentence,))]
         if all(len(t) for t in toks):
             token_lists.append(toks)
             kept.append(i)
-    if not kept:
-        return {a: np.zeros((0, 0)) for a in a_values}, kept
     # One matrix per part: the sentence itself, or the two halves of a pair.
     weights = None if variant in _UNIFORM_VARIANTS else frequencies
-    embedded = [encode_batch(part, vectors, weights, config, a_values,
-                             raw=variant in _RAW_VARIANTS)
-                for part in zip(*token_lists)]
-    if len(embedded) == 1:
+    embedded = [encode_batch([toks[part] for toks in token_lists], vectors,
+                             weights, config, a_values, raw=variant in _RAW_VARIANTS)
+                for part in range(2 if pairs else 1)]
+    if not pairs:
         return embedded[0], kept
-    return {a: np.stack([pair_features(u, v) for u, v in
-                         zip(embedded[0][a], embedded[1][a])])
-            for a in a_values}, kept
+    return {a: pair_features(embedded[0][a], embedded[1][a]) for a in a_values}, kept
 
 
 # ---------------------------------------------------------------------------
@@ -382,46 +384,65 @@ class GridSearchResult:
     test_std: float
 
 
-def evaluate_runs(dataset: LabeledDataset, vectors: VectorTable,
-                  frequencies: FrequencyTable, variant: str,
-                  a_grid: list[float], k_grid: list[int], seeds: list[int],
-                  use_positions: bool = True, fit_on: str = "train",
-                  log_path=None) -> list[EvalResult]:
-    """Run variant x a_grid x k_grid x seeds and return every result.
+def check_grid(a_grid: list[float], k_grid: list[int], seeds: list[int],
+               enforce_ranges: bool = True) -> None:
+    """Refuse an empty grid, a or k outside the documented ranges (if
+    ``enforce_ranges``), an a that is not finite and positive, a negative k or seed."""
+    if not a_grid or not k_grid:
+        raise NoppaError("a_grid and k_grid must each hold one or more values")
+    if enforce_ranges:
+        check_ranges(a_grid, k_grid)
+    for a in a_grid:
+        check_a(a)
+    if min(k_grid) < 0:
+        raise NoppaError(f"k must be >= 0, got {min(k_grid)}")
+    if min(seeds, default=-1) < 0:
+        raise NoppaError(f"seeds must be one or more integers >= 0, got {seeds}")
 
-    Embeddings are computed once per ``a`` (the contextual pass is shared
-    across the a grid); the noise model for k > 0 is fitted on the training
-    split, or on train+test when ``fit_on="train+test"``.
+
+def grid_search(dataset: LabeledDataset, vectors: VectorTable,
+                frequencies: FrequencyTable, a_grid: list[float],
+                k_grid: list[int], seeds: list[int],
+                variant: str = "noppa", use_positions: bool = True,
+                fit_on_test: bool = False, enforce_ranges: bool = True,
+                log_path=None) -> GridSearchResult:
+    """Run variant x a_grid x k_grid x seeds, logging each run as it ends.
+
+    Each split is embedded once for every a.  Per a, the noise model is
+    fitted once with the largest k, on train (train+test if ``fit_on_test``).
+    ``best`` is the pure argmax of dev accuracy over all runs;
+    ``test_mean``/``test_std`` aggregate the seeds of the configuration
+    with the highest mean dev accuracy.
     """
-    if fit_on not in ("train", "train+test"):
-        raise NoppaError(f"fit_on must be 'train' or 'train+test', got {fit_on!r}")
+    check_grid(a_grid, k_grid, seeds, enforce_ranges)
     if variant not in VARIANTS:
         raise NoppaError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     a_values = sorted(set(float(a) for a in a_grid))
-    k_values = sorted(set(int(k) for k in k_grid))
+    k_values = sorted(set(int(k) for k in k_grid)) if variant in _NR_VARIANTS else [0]
     seeds = list(dict.fromkeys(int(s) for s in seeds))
-    if variant not in _NR_VARIANTS:
-        k_values = [0]
     if variant in _UNIFORM_VARIANTS:
-        a_values = [a_values[0]]  # weights are constant 1; a is inert
+        a_values = a_values[:1]  # weights are constant 1; a is inert
 
+    runs = []
     # The log opens before any embedding, so an unwritable path fails first.
-    with (open(log_path, "a", encoding="utf-8") if log_path is not None
-          else contextlib.nullcontext()) as log:
+    with open(os.devnull if log_path is None else log_path, "a",
+              encoding="utf-8", buffering=1) as log:
         t0 = time.perf_counter()
         config = EncoderConfig(a=a_values[0], dim=vectors.dim,
                                use_positions=use_positions)
         splits = (dataset.train, dataset.dev, dataset.test)
+        pairs = isinstance(dataset.train[0][0], tuple)  # every split has train's arity
         embedded = [embed_split([s for s, _ in split], variant, config, vectors,
-                                frequencies, a_values) for split in splits]
-        embed_seconds = time.perf_counter() - t0
+                                frequencies, a_values, pairs=pairs)
+                    for split in splits]
+        embed_seconds = (time.perf_counter() - t0) / len(a_values)
         # Checked before the drop warnings, so a failure prints one line.
         # A dev split with nothing left falls back to train accuracy.
         for name, (_, kept) in (("train", embedded[0]), ("test", embedded[2])):
             if not kept:
                 raise FormatError(f"{dataset.name}: no {name} sentence has an "
                                   "in-vocabulary token")
-        for name, split, (_, kept) in zip(("train", "dev", "test"), splits, embedded):
+        for name, split, (_, kept) in zip(_SPLITS, splits, embedded):
             if len(kept) < len(split):
                 logger.warning("dropped %d %s sentences with no in-vocabulary "
                                "tokens", len(split) - len(kept), name)
@@ -429,56 +450,27 @@ def evaluate_runs(dataset: LabeledDataset, vectors: VectorTable,
         train_y, dev_y, test_y = (np.array([split[i][1] for i in kept])
                                   for split, (_, kept) in zip(splits, embedded))
 
-        results = []
         for a in a_values:
+            fit_rows = np.vstack([train_m[a], test_m[a]]) if fit_on_test else train_m[a]
+            fitted = denoiser.fit(fit_rows, k_values[-1])
             for k in k_values:
-                if k == 0:
-                    split_x = (train_m[a], dev_m[a], test_m[a])
-                else:
-                    fit_rows = (np.vstack([train_m[a], test_m[a]])
-                                if fit_on == "train+test" else train_m[a])
-                    model = denoiser.fit(fit_rows, k)
-                    split_x = tuple(denoiser.remove_matrix(m, model) if m.shape[0] else m
-                                    for m in (train_m[a], dev_m[a], test_m[a]))
+                model = fitted.smallest(k)
+                train_x, dev_x, test_x = (denoiser.remove_matrix(m[a], model)
+                                          for m in (train_m, dev_m, test_m))
                 for seed in seeds:
                     t1 = time.perf_counter()
-                    clf, dev_acc = train_classifier(split_x[0], train_y,
-                                                    split_x[1], dev_y,
+                    clf, dev_acc = train_classifier(train_x, train_y, dev_x, dev_y,
                                                     dataset.label_count, seed)
                     train_seconds = time.perf_counter() - t1
                     result = EvalResult(
                         dataset=dataset.name, variant=variant, a=a, k=k, seed=seed,
                         dev_accuracy=dev_acc,
-                        test_accuracy=clf.score(split_x[2], test_y),
-                        embed_seconds=embed_seconds / max(len(a_values), 1),
+                        test_accuracy=clf.score(test_x, test_y),
+                        embed_seconds=embed_seconds,
                         train_seconds=train_seconds)
-                    results.append(result)
+                    runs.append(result)
                     logger.info("run %s", result.logline())
-                    if log is not None:
-                        log.write(result.logline() + "\n")
-                        log.flush()
-    return results
-
-
-def grid_search(dataset: LabeledDataset, vectors: VectorTable,
-                frequencies: FrequencyTable, a_grid: list[float],
-                k_grid: list[int], seeds: list[int],
-                variant: str = "noppa", use_positions: bool = True,
-                fit_on: str = "train", enforce_ranges: bool = True,
-                log_path=None) -> GridSearchResult:
-    """Exhaustive grid over the supplied points; dev-selected, test-reported.
-
-    ``best`` is the pure argmax of dev accuracy over all logged runs;
-    ``test_mean``/``test_std`` aggregate the seeds of the configuration
-    with the highest mean dev accuracy.
-    """
-    if enforce_ranges:
-        check_ranges(a_grid, k_grid)
-    if min(seeds, default=-1) < 0:
-        raise NoppaError(f"seeds must be one or more integers >= 0, got {seeds}")
-    runs = evaluate_runs(dataset, vectors, frequencies, variant, a_grid,
-                         k_grid, seeds, use_positions=use_positions,
-                         fit_on=fit_on, log_path=log_path)
+                    log.write(result.logline() + "\n")
     best = max(runs, key=lambda r: r.dev_accuracy)
     by_config: dict[tuple[float, int], list[EvalResult]] = {}
     for r in runs:

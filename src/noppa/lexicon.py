@@ -78,10 +78,10 @@ class VectorTable:
                 raise FormatError(f"non-finite vector for {token!r}")
             index[token] = len(rows)
             rows.append(row)
-        matrix = np.stack(rows)
         dims = {r.shape[0] for r in rows}
         if len(dims) != 1:
             raise FormatError(f"inconsistent vector dimensions: {sorted(dims)}")
+        matrix = np.stack(rows)
         matrix.setflags(write=False)
         return cls(dim=matrix.shape[1], matrix=matrix, index=index)
 

@@ -563,6 +563,20 @@ class TestEvalAndBench:
         assert run([sub, "--vectors", vec, "--freq", freq, *argv]) == 1
         _one_line_error(capsys, "k must be >= 0, got -1")
 
+    def test_negative_k_in_grid_logs_no_run(self, world, tmp_path, capsys):
+        # Slicing a model with k = -1 would give the empty model and a run
+        # labelled k=-1; the grid is refused instead.
+        _, vec, freq, _ = world
+        ds = tmp_path / "toy.tsv"
+        ds.write_text("".join(f"{i % 2}\tgirl eats cake line{i}\n" for i in range(40)))
+        log = tmp_path / "runs.log"
+        capsys.readouterr()
+        assert run(["eval", "--vectors", vec, "--freq", freq, "--unsafe-ranges",
+                    "--a-grid", "0.05", "--k-grid=-1,5", "--seeds", "1",
+                    "--log", str(log), str(ds)]) == 1
+        _one_line_error(capsys, "k must be >= 0, got -1")
+        assert not log.exists() or log.read_text() == ""
+
     def test_unwritable_log_fails_before_embedding(self, world, tmp_path,
                                                    capsys, monkeypatch):
         tmp, vec, freq, _ = world
@@ -676,7 +690,14 @@ class TestBadNumbers:
         (["--a-grid", "0.05,0.9"], 3, "a=0.9 outside documented range"),
         (["--k-grid", "30"], 3, "k=30 outside documented range"),
         (["--seeds", ",,"], 1, "cannot parse grid ',,'"),
-    ], ids=["negative-a", "a-range", "k-range", "seeds"])
+        (["--seeds", "3,-1"], 1, "seeds must be one or more integers >= 0, got [3, -1]"),
+        (["--unsafe-ranges", "--k-grid=-1,5"], 1, "k must be >= 0, got -1"),
+        (["--train-limit", "-1"], 1, "train limit must be >= 0, got -1"),
+        (["--dev-limit", "-2"], 1, "dev limit must be >= 0, got -2"),
+        (["--test-limit", "-3"], 1, "test limit must be >= 0, got -3"),
+    ], ids=["negative-a", "a-range", "k-range", "seeds", "negative-seed",
+            "negative-k-unsafe", "negative-train-limit", "negative-dev-limit",
+            "negative-test-limit"])
     def test_eval_grids_checked_before_loading(self, world, capsys, argv, code,
                                                message):
         tmp, _, freq, _ = world
@@ -770,6 +791,21 @@ class TestBadDatasets:
         assert _eval(*world[1:3], ds) == (0, [
             "WARNING noppa.evalkit: dropped 5 dev sentences with no "
             "in-vocabulary tokens"])
+
+    def test_pairs_without_dev_split(self, world, tmp_path, capsys):
+        # The empty dev split must have the pair width 6d, or removing the
+        # noise (k = 3) from it fails on a dim mismatch.
+        _, vec, freq, _ = world
+        ds = self._split_dir(tmp_path,
+                             train=[f"girl eats {w}\tthe dog {w}"
+                                    for w in ("cake", "fast", "sky", "a") * 5],
+                             test=["girl eats\tdog runs", "the cake\tblue sky"])
+        log = tmp_path / "runs.log"
+        assert run(["eval", "--vectors", vec, "--freq", freq, "--k-grid", "0,3",
+                    "--seeds", "1", "--log", str(log), ds]) == 0
+        assert "dev-best config" in capsys.readouterr().out
+        assert [line.split(",")[3] for line in log.read_text().splitlines()] == (
+            ["0", "3"] * 4)
 
     def test_long_label_token_is_shortened(self, world, tmp_path):
         ds = tmp_path / "toy.tsv"

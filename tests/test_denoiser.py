@@ -82,6 +82,40 @@ class TestFit:
             denoiser.fit(X, 1)
 
 
+def _rank_deficient(rng, l, dim, rank):
+    return rng.standard_normal((l, rank)) @ rng.standard_normal((rank, dim))
+
+
+class TestSmallest:
+    """``fit(X, kmax).smallest(k)`` is the model ``fit(X, k)``, bit for bit."""
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: rng.standard_normal((40, 12)),
+        lambda rng: _rank_deficient(rng, 40, 12, 5),
+        lambda rng: _rank_deficient(rng, 9, 12, 3),  # fewer rows than dim
+    ], ids=["random", "rank-deficient", "wide-rank-deficient"])
+    def test_bitwise_equal_to_fit_for_every_k(self, make):
+        rng = np.random.default_rng(21)
+        X = make(rng)
+        kmax = min(X.shape)
+        nested = denoiser.fit(X, kmax)
+        rows = rng.standard_normal((6, X.shape[1]))
+        for k in range(kmax + 1):
+            got, want = nested.smallest(k), denoiser.fit(X, k)
+            assert (got.k, got.dim) == (want.k, want.dim) == (k, X.shape[1])
+            np.testing.assert_array_equal(got.vk.view(np.uint64), want.vk.view(np.uint64))
+            np.testing.assert_array_equal(got.singular_values.view(np.uint64),
+                                          want.singular_values.view(np.uint64))
+            assert (denoiser.remove_matrix(rows, got).tobytes()
+                    == denoiser.remove_matrix(rows, want).tobytes())
+
+    @pytest.mark.parametrize("k", [-1, 5])
+    def test_refuses_k_outside_0_to_model_k(self, k):
+        model = denoiser.fit(np.random.default_rng(22).standard_normal((10, 6)), 4)
+        with pytest.raises(NoppaError, match=f"k must be in 0..4, got {k}"):
+            model.smallest(k)
+
+
 class TestRemove:
     def setup_method(self):
         rng = np.random.default_rng(5)

@@ -217,7 +217,8 @@ class TestEmbedSplit:
         vt, ft, cfg = tiny_world
         vocab = list(vt.tokens())
         u, v = " ".join(vocab[:3]), " ".join(vocab[3:7])
-        mats, kept = evalkit.embed_split([(u, v), (u, "zzz")], "noppa", cfg, vt, ft)
+        mats, kept = evalkit.embed_split([(u, v), (u, "zzz")], "noppa", cfg, vt, ft,
+                                         pairs=True)
         singles, _ = evalkit.embed_split([u, v], "noppa", cfg, vt, ft)
         assert kept == [0]
         np.testing.assert_array_equal(mats[cfg.a][0],
@@ -228,6 +229,20 @@ class TestEmbedSplit:
         v = np.array([0.5, 4.0])
         np.testing.assert_array_equal(pair_features(u, v),
                                       [1.0, 2.0, 0.5, 4.0, 0.5, 2.0])
+        np.testing.assert_array_equal(pair_features(np.stack([u, v]), np.stack([v, u])),
+                                      [pair_features(u, v), pair_features(v, u)])
+
+    @pytest.mark.parametrize("variant, pairs, width", [
+        ("noppa", False, 2), ("noppa", True, 6), ("glove_avg", False, 1),
+        ("glove_avg", True, 3)])
+    @pytest.mark.parametrize("sentences", [[], ["zzz qqq"]], ids=["empty", "all-oov"])
+    def test_nothing_kept_gives_zero_rows_of_the_arity_width(
+            self, tiny_world, sentences, variant, pairs, width):
+        vt, ft, cfg = tiny_world
+        sentences = [(s, s) for s in sentences] if pairs else sentences
+        mats, kept = evalkit.embed_split(sentences, variant, cfg, vt, ft, pairs=pairs)
+        assert kept == []
+        assert mats[cfg.a].shape == (0, width * vt.dim)
 
 
 class TestClassifier:
@@ -367,6 +382,38 @@ class TestGridSearch:
         assert fields[0] == "synthetic-topics"
         assert fields[1] == "noppa"
         assert len(fields) == 9
+
+    @pytest.mark.parametrize("fit_on_test", [False, True])
+    def test_one_fit_per_distinct_a(self, monkeypatch, fit_on_test):
+        lex, ds = toy_grid_dataset()
+        fits = []
+        fit = evalkit.denoiser.fit
+
+        def counting_fit(rows, k):
+            fits.append((len(rows), k))
+            return fit(rows, k)
+
+        monkeypatch.setattr(evalkit.denoiser, "fit", counting_fit)
+        result = grid_search(ds, lex.vectors, lex.frequencies,
+                             a_grid=[0.1, 0.01, 0.1], k_grid=[3, 0, 2], seeds=[3],
+                             fit_on_test=fit_on_test)
+        rows = len(ds.train) + (len(ds.test) if fit_on_test else 0)
+        assert fits == [(rows, 3), (rows, 3)]
+        assert [(r.a, r.k) for r in result.runs] == [
+            (a, k) for a in (0.01, 0.1) for k in (0, 2, 3)]
+
+    def test_negative_k_refused(self):
+        lex, ds = toy_grid_dataset()
+        with pytest.raises(NoppaError, match="k must be >= 0, got -2"):
+            grid_search(ds, lex.vectors, lex.frequencies, a_grid=[0.05],
+                        k_grid=[5, -1, -2], seeds=[3], enforce_ranges=False)
+
+    @pytest.mark.parametrize("a_grid, k_grid", [([], [0]), ([0.05], [])])
+    def test_empty_grid_refused(self, a_grid, k_grid):
+        lex, ds = toy_grid_dataset()
+        with pytest.raises(NoppaError, match="must each hold one or more values"):
+            grid_search(ds, lex.vectors, lex.frequencies, a_grid=a_grid,
+                        k_grid=k_grid, seeds=[3])
 
     @pytest.mark.parametrize("seeds", [[], [3, -1]])
     def test_seeds_non_empty_and_non_negative(self, seeds):

@@ -412,6 +412,12 @@ class TestVectorFileFuzz:
         assert_same_table(load_vectors(p), first)
 
 
+class TestFromMapping:
+    def test_inconsistent_dimensions(self):
+        with pytest.raises(FormatError, match=r"inconsistent vector dimensions: \[2, 3\]"):
+            VectorTable.from_mapping({"a": [1, 2], "b": [1, 2, 3]})
+
+
 class TestVectorRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(entries=st.dictionaries(
