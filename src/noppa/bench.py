@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import denoiser
-from .encoder import EncoderConfig, encode_batch
+from .encoder import EncoderConfig, check_a_k, encode_batch
 from .errors import NoppaError
 from .lexicon import FrequencyTable, TokenSequence, VectorTable, tokenize
 
@@ -62,11 +62,11 @@ def _probe_line(vectors, frequencies, config, k, n, count, repetitions, seed) ->
 
 def check_options(k: int, repetitions: int, scaling_n: int | None,
                   scaling_count: int, seed: int) -> None:
-    """Reject the ``report`` options that it cannot run with."""
+    """Reject the ``report`` options that it cannot run with (k through
+    ``encoder.check_a_k``, without the documented range)."""
     if repetitions < 3:
         raise NoppaError(f"repetitions must be >= 3, got {repetitions}")
-    if k < 0:
-        raise NoppaError(f"k must be >= 0, got {k}")
+    check_a_k(k_values=[k])
     if seed < 0:
         raise NoppaError(f"seed must be >= 0, got {seed}")
     if scaling_n is not None and scaling_n < 1:

@@ -23,7 +23,7 @@ import numpy as np
 # evalkit, analysis and bench are imported by the subcommands that run
 # them, so that embed and fit-noise start without them.
 from . import csvout, denoiser
-from .encoder import VARIANTS, EncoderConfig, check_a, check_ranges
+from .encoder import VARIANTS, EncoderConfig, check_a_k
 from .errors import InfeasibleConfigError, NoppaError
 from .lexicon import load_frequencies, load_vectors, read_lines
 from .pipeline import Pipeline
@@ -84,15 +84,17 @@ def _open_input(path: str, directory_ok: bool = False) -> str:
     return resolved
 
 
+def _load_tables(args):
+    """The vector table of --vectors and the frequencies of --freq."""
+    return (load_vectors(_open_input(args.vectors)),
+            load_frequencies(_open_input(args.freq)))
+
+
 def _build_pipeline(args) -> Pipeline:
-    k = getattr(args, "k", 0)  # attention and contrib take k from --noise-model
-    if not args.unsafe_ranges:
-        check_ranges([args.a], [k])
-    check_a(args.a)
-    if k < 0:  # read by fit-noise; refused for embed alike
-        raise NoppaError(f"k must be >= 0, got {k}")
-    vectors = load_vectors(_open_input(args.vectors))
-    frequencies = load_frequencies(_open_input(args.freq))
+    # attention and contrib take k from --noise-model; embed checks -k alike
+    check_a_k([args.a], [getattr(args, "k", 0)],
+              enforce_ranges=not args.unsafe_ranges)
+    vectors, frequencies = _load_tables(args)
     noise = None
     if getattr(args, "noise_model", None):
         noise = denoiser.load(_open_input(args.noise_model))
@@ -190,6 +192,8 @@ def _parse_grid(text: str, cast):
 def cmd_weight_curve(args) -> int:
     from . import analysis
 
+    a_grid = _parse_grid(args.a_grid, float)
+    check_a_k(a_grid)
     frequencies = load_frequencies(_open_input(args.freq))
     groups = {}
     for spec in args.group:
@@ -197,8 +201,7 @@ def cmd_weight_curve(args) -> int:
             raise NoppaError(f"--group expects NAME=tok1,tok2,... got {spec!r}")
         name, tokens = spec.split("=", 1)
         groups[name] = [t for t in tokens.split(",") if t]
-    curve = analysis.weight_curve(groups, frequencies,
-                                  _parse_grid(args.a_grid, float))
+    curve = analysis.weight_curve(groups, frequencies, a_grid)
     _write_out(args, [analysis.weight_curve_csv(curve, frequencies)])
     return EXIT_OK
 
@@ -211,8 +214,7 @@ def cmd_eval(args) -> int:
     seeds = _parse_grid(args.seeds, int)
     evalkit.check_grid(a_grid, k_grid, seeds, enforce_ranges=not args.unsafe_ranges)
     evalkit.check_limits(args.train_limit, args.dev_limit, args.test_limit)
-    vectors = load_vectors(_open_input(args.vectors))
-    frequencies = load_frequencies(_open_input(args.freq))
+    vectors, frequencies = _load_tables(args)
     dataset = evalkit.load_dataset(args.name,
                                    _open_input(args.dataset, directory_ok=True))
     dataset = evalkit.subset(dataset, args.train_limit, args.dev_limit,
@@ -236,11 +238,10 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     from . import bench
 
-    check_a(args.a)
+    check_a_k([args.a])
     bench.check_options(args.k, args.reps, args.scale_n, args.scale_count,
                         args.seed)
-    vectors = load_vectors(_open_input(args.vectors))
-    frequencies = load_frequencies(_open_input(args.freq))
+    vectors, frequencies = _load_tables(args)
     config = EncoderConfig(a=args.a, dim=vectors.dim,
                            use_positions=not args.no_positions)
     sentences = _read_sentences(args.sentences) if args.sentences else []

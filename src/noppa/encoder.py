@@ -36,7 +36,7 @@ class EncoderConfig:
     use_positions: bool = True
 
     def __post_init__(self):
-        check_a(self.a)
+        check_a_k([self.a])
         if self.dim < 1:
             raise NoppaError(f"dim must be >= 1, got {self.dim}")
 
@@ -50,24 +50,27 @@ K_RANGE = (0, 24)
 VARIANTS = ("noppa", "ce_avg", "ce_avg_nr", "ce_sfw", "glove_avg", "freq_weighted_avg")
 
 
-def check_a(a: float) -> None:
-    """Reject an ``a`` that is not a finite positive number."""
-    if not (a > 0 and math.isfinite(a)):
-        raise NoppaError(f"a must be finite and positive, got {a}")
-
-
-def check_ranges(a_grid, k_grid):
-    """Reject a and k values outside A_RANGE and K_RANGE."""
-    for a in a_grid:
-        if not (A_RANGE[0] <= a <= A_RANGE[1]):
-            raise InfeasibleConfigError(
-                f"a={a:g} outside documented range [{A_RANGE[0]}, {A_RANGE[1]}] "
-                f"(use --unsafe-ranges to override)")
-    for k in k_grid:
-        if not (K_RANGE[0] <= k <= K_RANGE[1]):
-            raise InfeasibleConfigError(
-                f"k={k} outside documented range [{K_RANGE[0]}, {K_RANGE[1]}] "
-                f"(use --unsafe-ranges to override)")
+def check_a_k(a_values=(), k_values=(), enforce_ranges: bool = False) -> None:
+    """The rules for a and k, which every command applies before it opens a
+    file: each value inside A_RANGE and K_RANGE if ``enforce_ranges``
+    (InfeasibleConfigError), then each a finite and positive, then each
+    k >= 0 (NoppaError)."""
+    if enforce_ranges:
+        for a in a_values:
+            if not (A_RANGE[0] <= a <= A_RANGE[1]):
+                raise InfeasibleConfigError(
+                    f"a={a:g} outside documented range [{A_RANGE[0]}, {A_RANGE[1]}] "
+                    f"(use --unsafe-ranges to override)")
+        for k in k_values:
+            if not (K_RANGE[0] <= k <= K_RANGE[1]):
+                raise InfeasibleConfigError(
+                    f"k={k} outside documented range [{K_RANGE[0]}, {K_RANGE[1]}] "
+                    f"(use --unsafe-ranges to override)")
+    for a in a_values:
+        if not (a > 0 and math.isfinite(a)):
+            raise NoppaError(f"a must be finite and positive, got {a}")
+    if min(k_values, default=0) < 0:
+        raise NoppaError(f"k must be >= 0, got {min(k_values)}")
 
 
 def pos_embed(i: int, dim: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import denoiser
-from .encoder import VARIANTS, EncoderConfig, check_a, check_ranges, encode_batch
+from .encoder import VARIANTS, EncoderConfig, check_a_k, encode_batch
 # Unused here, but benchmark/spans.py still wraps it at this binding.
 from .encoder import contextual_embeddings  # noqa: F401
 from .errors import FormatError, NoppaError
@@ -386,16 +386,11 @@ class GridSearchResult:
 
 def check_grid(a_grid: list[float], k_grid: list[int], seeds: list[int],
                enforce_ranges: bool = True) -> None:
-    """Refuse an empty grid, a or k outside the documented ranges (if
-    ``enforce_ranges``), an a that is not finite and positive, a negative k or seed."""
+    """Refuse an empty grid, an a or k that ``encoder.check_a_k`` refuses,
+    and a negative seed."""
     if not a_grid or not k_grid:
         raise NoppaError("a_grid and k_grid must each hold one or more values")
-    if enforce_ranges:
-        check_ranges(a_grid, k_grid)
-    for a in a_grid:
-        check_a(a)
-    if min(k_grid) < 0:
-        raise NoppaError(f"k must be >= 0, got {min(k_grid)}")
+    check_a_k(a_grid, k_grid, enforce_ranges)
     if min(seeds, default=-1) < 0:
         raise NoppaError(f"seeds must be one or more integers >= 0, got {seeds}")
 

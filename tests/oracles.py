@@ -2,15 +2,18 @@
 
 The encoder references are written with plain Python floats and ``math``
 only, as an independent check on the vectorized engine; keep them free of
-numpy.  ``contextual_part`` and ``pool`` are the earlier numpy engine, which
-evaluated all n^2 kernel rows and pooled per word; they are the near-ulp
-reference for the pair-sum engine in ``noppa.encoder``.  ``MLPClassifier``
-at the end is a per-tensor numpy trainer (one array and one Adam update per
-parameter), the bitwise reference for the flat-vector trainer in
-``noppa.evalkit``.  Keep this module free of any imports from the package
-under test.
+numpy.  ``decimal_sentence_embedding`` evaluates the same formula in
+``decimal`` arithmetic at 40 significant digits, the reference for the
+engine's own rounding error.  ``contextual_part`` and ``pool`` are the
+earlier numpy engine, which evaluated all n^2 kernel rows and pooled per
+word; they are the near-ulp reference for the pair-sum engine in
+``noppa.encoder``.  ``MLPClassifier`` at the end is a per-tensor numpy
+trainer (one array and one Adam update per parameter), the bitwise
+reference for the flat-vector trainer in ``noppa.evalkit``.  Keep this
+module free of any imports from the package under test.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -91,6 +94,52 @@ def remove_projection(vector, rows):
         for c in range(len(vector)):
             out[c] -= coeff * row[c]
     return out
+
+
+# ---------------------------------------------------------------------------
+# High-precision reference: the formula in decimal arithmetic.
+
+
+def decimal_sentence_embedding(rows, positions, weights, digits=40):
+    """One sentence's vector as ``Decimal`` values: the contextual block,
+    then the word block, each (1/n) sum_i w_i (...).
+
+    ``rows`` (n x d word vectors), ``positions`` (n x d offsets; zeros for
+    no positions) and ``weights`` (n) are floats read as exact inputs, so
+    rows + positions is not rounded to float64.  Every operation is rounded
+    to ``digits`` significant digits: the attention uses ``Decimal.exp``,
+    the kernel ``ln(1 + delta^2) / ln 2``, and nothing is rounded to float.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        dec = decimal.Decimal
+        n, d = len(rows), len(rows[0])
+        raw = [[dec(float(v)) for v in row] for row in rows]
+        pv = [[v + dec(float(p)) for v, p in zip(row, offsets)]
+              for row, offsets in zip(raw, positions)]
+        w = [dec(float(v)) for v in weights]
+        scale = dec(d).sqrt()
+        att = []
+        for i in range(n):
+            logits = [sum(x * y for x, y in zip(pv[i], pv[j])) / scale for j in range(n)]
+            top = max(logits)
+            exps = [(v - top).exp() for v in logits]
+            total = sum(exps)
+            att.append([e / total for e in exps])
+        ln2 = dec(2).ln()
+        # K(pv_i, pv_j) is symmetric and zero on the diagonal; each unordered
+        # pair is evaluated once and used for both words.
+        kernel = [[[dec(0)] * d for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                kernel[i][j] = kernel[j][i] = [
+                    (1 + (x - y) * (x - y)).ln() / ln2 for x, y in zip(pv[i], pv[j])]
+        out = [dec(0)] * (2 * d)
+        for i in range(n):
+            for c in range(d):
+                out[c] += w[i] * sum(att[i][j] * kernel[i][j][c] for j in range(n))
+                out[d + c] += w[i] * raw[i][c]
+        return [v / n for v in out]
 
 
 # ---------------------------------------------------------------------------

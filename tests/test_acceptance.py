@@ -355,7 +355,8 @@ class TestCriterion7FullScale:
             proc = subprocess.run([sys.executable, "-m", "py_compile", path],
                                   capture_output=True)
             compiles = proc.returncode == 0
-            text = open(path, "r", encoding="utf-8").read()
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
             documents = "84.1" in text and "tokeniz" in text.lower()
         check("C7 extended full-scale run script available",
               exists and compiles and documents,

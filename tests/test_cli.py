@@ -626,6 +626,17 @@ class TestEvalAndBench:
         assert lines[1] == "sentences: 15"
 
 
+# Commands that take -a, and those that take k (-k or --k-grid); eval and
+# weight-curve read a from a grid, where inf does not parse.
+_A_FLAG_COMMANDS = ("embed", "attention", "fit-noise", "contrib", "bench")
+_K_COMMANDS = ("embed", "fit-noise", "bench", "eval")
+# case -> (a, k, the error line's message)
+_RULE_CASES = {"infinite": ("inf", "0", "a must be finite and positive, got inf"),
+               "negative": ("-1", "0", "a must be finite and positive, got -1.0"),
+               "zero": ("0", "0", "a must be finite and positive, got 0.0"),
+               "negative-k": ("0.05", "-1", "k must be >= 0, got -1")}
+
+
 class TestBadNumbers:
     """Malformed numbers on the command line: exit 1 and one error line."""
 
@@ -671,18 +682,34 @@ class TestBadNumbers:
         assert run(["bench", "--vectors", vec, "--freq", freq, *argv]) == 1
         _one_line_error(capsys, message)
 
-    @pytest.mark.parametrize("a,message", [
-        ("inf", "a must be finite and positive, got inf"),
-        ("-1", "a must be finite and positive, got -1.0"),
-    ], ids=["infinite", "negative"])
-    @pytest.mark.parametrize("sub", ["embed", "attention"])
-    def test_bad_a_refused_before_loading(self, world, capsys, sub, a, message):
-        tmp, _, freq, sent = world
-        target = [sent] if sub == "embed" else ["the girl"]
+    @pytest.mark.parametrize("sub,case", [
+        pytest.param(sub, case, id=f"{sub}-{case}")
+        for sub in (*_A_FLAG_COMMANDS, "eval", "weight-curve")
+        for case in _RULE_CASES
+        if (case != "infinite" or sub in _A_FLAG_COMMANDS)
+        and (case != "negative-k" or sub in _K_COMMANDS)])
+    def test_bad_a_refused_before_loading(self, tmp_path, capsys, sub, case):
+        # The a and k rules are one rule (encoder.check_a_k): every command
+        # gives the same line for the same value before it opens any file.
+        a, k, message = _RULE_CASES[case]
+        nope, out = str(tmp_path / "nope.txt"), tmp_path / "out.txt"
+        tables = ["--vectors", nope, "--freq", nope]
+        argv = {
+            "embed": [*tables, "-a", a, "-k", k, "--unsafe-ranges", "--out", str(out), nope],
+            "fit-noise": [*tables, "-a", a, "-k", k, "--unsafe-ranges", "--out", str(out),
+                          nope],
+            "attention": [*tables, "-a", a, "--unsafe-ranges", "--out", str(out), "the"],
+            "contrib": [*tables, "-a", a, "--unsafe-ranges", "--out", str(out), "the"],
+            "bench": [*tables, "-a", a, "-k", k],
+            "eval": [*tables, "--a-grid", a, "--k-grid", k, "--seeds", "1",
+                     "--unsafe-ranges", "--log", str(out), nope],
+            "weight-curve": ["--freq", nope, "--group", "stop=the", "--a-grid", a,
+                             "--out", str(out)],
+        }[sub]
         capsys.readouterr()
-        assert run([sub, "--vectors", str(tmp / "nope.txt"), "--freq", freq,
-                    "-a", a, "--unsafe-ranges", *target]) == 1
-        _one_line_error(capsys, message)
+        assert run([sub, *argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv,code,message", [
         (["--a-grid", "-1", "--unsafe-ranges"], 1,

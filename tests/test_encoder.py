@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -342,3 +343,47 @@ class TestPairKernel:
         with pytest.raises(NoppaError,
                            match="token without vector reached the encoder: 'zzz'"):
             contextual_embeddings(toks, vt, cfg, np.ones(2))
+
+
+class TestDecimalOracle:
+    """The float64 engine against the formula evaluated at 40 digits
+    (``oracles.decimal_sentence_embedding``) on the float64 rows, position
+    offsets and weights that the engine itself reads."""
+
+    # Error in units of the row's max |value|; measured at most 3.9e-16 over
+    # these 100 cases (README, "How a sentence becomes a vector").
+    BOUND = 1e-15
+
+    @staticmethod
+    def vocabulary(kind, rng, d):
+        if kind == "random":
+            return rng.standard_normal((40, d))
+        if kind == "clustered":  # words 1e-4 apart, so the kernel's 1 + delta^2 is near 1
+            return rng.standard_normal(d) + 1e-4 * rng.standard_normal((40, d))
+        if kind == "repeated":  # three words, so most sentences repeat one
+            return rng.standard_normal((3, d))
+        # Entries near 1e15 swallow the position offsets (README, "File formats").
+        return 1e15 * rng.uniform(0.5, 1.5, (5, d)) * rng.choice([-1.0, 1.0], (5, d))
+
+    @pytest.mark.parametrize("kind", ["random", "clustered", "repeated", "near-1e15"])
+    def test_engine_within_bound_of_exact_formula(self, kind):
+        errors = []
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            n, d = int(rng.integers(1, 13)), int(rng.integers(1, 17))
+            use_positions = seed % 2 == 0
+            words = self.vocabulary(kind, rng, d).astype(np.float32)
+            vt = VectorTable.from_mapping({f"w{i}": v for i, v in enumerate(words)})
+            ids = rng.integers(0, len(words), n)
+            toks = TokenSequence(tokens=[f"w{i}" for i in ids])
+            weights = rng.uniform(0.05, 2.0, n)
+            got, _ = contextual_embeddings(
+                toks, vt, EncoderConfig(a=0.05, dim=d, use_positions=use_positions), weights)
+            positions = (np.stack([pos_embed(i, d) for i in range(n)]) if use_positions
+                         else np.zeros((n, d)))
+            want = oracles.decimal_sentence_embedding(
+                words[ids].astype(np.float64), positions, weights)
+            scale = max(abs(v) for v in want)
+            errors.append(float(max(abs(Decimal(float(g)) - v) for g, v in zip(got, want))
+                                / scale))
+        assert max(errors) <= self.BOUND, (kind, max(errors))
