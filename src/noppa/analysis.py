@@ -46,6 +46,14 @@ def _config_comments(pipe: Pipeline) -> list[str]:
     ]
 
 
+def _csv(comments: list[str], rows) -> str:
+    """The ``#`` comment lines, then ``rows`` as CSV lines."""
+    out = io.StringIO()
+    out.writelines(line + "\n" for line in comments)
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def attention_report(sentence: str, pipe: Pipeline) -> str:
     """CSV of the n x n attention matrix with token-labeled header row/column.
 
@@ -53,16 +61,11 @@ def attention_report(sentence: str, pipe: Pipeline) -> str:
     are rounded to 6 decimal places, which the comment header records.
     """
     toks, _, att = pipe.embed(sentence, denoise=False)
-    out = io.StringIO()
-    for line in _config_comments(pipe):
-        out.write(line + "\n")
-    out.write("# rows of the attention matrix sum to 1 within 1e-6; "
-              "printed values are rounded to 6 decimal places\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([""] + toks.tokens)
-    for token, row in zip(toks.tokens, att):
-        writer.writerow([token] + [f"{v:.6f}" for v in row])
-    return out.getvalue()
+    comments = _config_comments(pipe) + [
+        "# rows of the attention matrix sum to 1 within 1e-6; "
+        "printed values are rounded to 6 decimal places"]
+    return _csv(comments, [[""] + toks.tokens] + [
+        [token] + [f"{v:.6f}" for v in row] for token, row in zip(toks.tokens, att)])
 
 
 def contribution_report(sentence: str, pipe: Pipeline,
@@ -90,14 +93,17 @@ def contribution_report(sentence: str, pipe: Pipeline,
 
 
 def contribution_csv(report: ContributionReport, pipe: Pipeline) -> str:
-    out = io.StringIO()
-    for line in _config_comments(pipe):
-        out.write(line + "\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["token", "score"])
-    for token, score in zip(report.tokens, report.scores):
-        writer.writerow([token, f"{score:.6f}"])
-    return out.getvalue()
+    return _csv(_config_comments(pipe), [["token", "score"]] + [
+        [token, f"{score:.6f}"] for token, score in zip(report.tokens, report.scores)])
+
+
+def check_groups(groups: dict[str, list[str]]) -> None:
+    """Refuse no groups, and a group with no tokens."""
+    if not groups:
+        raise NoppaError("no token groups given")
+    for name, tokens in groups.items():
+        if not tokens:
+            raise NoppaError(f"empty token group: {name!r}")
 
 
 def weight_curve(groups: dict[str, list[str]], frequencies: FrequencyTable,
@@ -107,11 +113,7 @@ def weight_curve(groups: dict[str, list[str]], frequencies: FrequencyTable,
     Means are normalized by the weight's a -> infinity limit (2.0) so that
     curves live in (0, 1].  Tokens missing from the table count as Pr = 0.
     """
-    if not groups:
-        raise NoppaError("no token groups given")
-    for name, tokens in groups.items():
-        if not tokens:
-            raise NoppaError(f"empty token group: {name!r}")
+    check_groups(groups)
     if not a_grid:
         raise NoppaError("empty a grid")
     a_values = sorted(set(float(a) for a in a_grid), reverse=True)
@@ -123,12 +125,9 @@ def weight_curve(groups: dict[str, list[str]], frequencies: FrequencyTable,
 
 
 def weight_curve_csv(curve: WeightCurve, frequencies: FrequencyTable) -> str:
-    out = io.StringIO()
-    out.write(f"# normalized mean smooth-frequency weights; "
-              f"total_count={frequencies.total_count}\n")
-    writer = csv.writer(out, lineterminator="\n")
     names = list(curve.group_means)
-    writer.writerow(["a"] + names)
-    for i, a in enumerate(curve.a_values):
-        writer.writerow([f"{a:g}"] + [f"{curve.group_means[n][i]:.6f}" for n in names])
-    return out.getvalue()
+    comment = (f"# normalized mean smooth-frequency weights; "
+               f"total_count={frequencies.total_count}")
+    return _csv([comment], [["a"] + names] + [
+        [f"{a:g}"] + [f"{curve.group_means[n][i]:.6f}" for n in names]
+        for i, a in enumerate(curve.a_values)])

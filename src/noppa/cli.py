@@ -194,13 +194,14 @@ def cmd_weight_curve(args) -> int:
 
     a_grid = _parse_grid(args.a_grid, float)
     check_a_k(a_grid)
-    frequencies = load_frequencies(_open_input(args.freq))
     groups = {}
     for spec in args.group:
         if "=" not in spec:
             raise NoppaError(f"--group expects NAME=tok1,tok2,... got {spec!r}")
         name, tokens = spec.split("=", 1)
         groups[name] = [t for t in tokens.split(",") if t]
+    analysis.check_groups(groups)  # before the --freq load
+    frequencies = load_frequencies(_open_input(args.freq))
     curve = analysis.weight_curve(groups, frequencies, a_grid)
     _write_out(args, [analysis.weight_curve_csv(curve, frequencies)])
     return EXIT_OK

@@ -36,19 +36,22 @@ class NoiseModel:
     """
 
     vk: np.ndarray  # (k, dim) float64, read-only
-    dim: int
     singular_values: np.ndarray  # (k,) float64, descending
 
     @property
     def k(self) -> int:
         return self.vk.shape[0]
 
+    @property
+    def dim(self) -> int:
+        return self.vk.shape[1]
+
     def smallest(self, k: int) -> "NoiseModel":
         """The model of the k smallest of these directions (the last k
         rows): the same bits as ``fit`` of the same matrix with k."""
         if not 0 <= k <= self.k:
             raise NoppaError(f"k must be in 0..{self.k}, got {k}")
-        return NoiseModel(vk=self.vk[self.k - k:], dim=self.dim,
+        return NoiseModel(vk=self.vk[self.k - k:],
                           singular_values=self.singular_values[self.k - k:])
 
 
@@ -81,7 +84,7 @@ def fit(embeddings: np.ndarray, k: int) -> NoiseModel:
     if k == 0:
         vk = np.zeros((0, dim), dtype=np.float64)
         vk.setflags(write=False)
-        return NoiseModel(vk=vk, dim=dim, singular_values=np.zeros(0))
+        return NoiseModel(vk=vk, singular_values=np.zeros(0))
     gram = X.T @ X
     eigvals, eigvecs = np.linalg.eigh(gram)  # ascending
     svals = np.sqrt(np.clip(eigvals, 0.0, None))
@@ -89,7 +92,7 @@ def fit(embeddings: np.ndarray, k: int) -> NoiseModel:
     order = np.arange(k - 1, -1, -1)
     vk = _fix_signs(eigvecs[:, order].T.copy())
     vk.setflags(write=False)
-    return NoiseModel(vk=vk, dim=dim, singular_values=svals[order].copy())
+    return NoiseModel(vk=vk, singular_values=svals[order].copy())
 
 
 def remove_matrix(vectors: np.ndarray, model: NoiseModel) -> np.ndarray:
@@ -184,4 +187,4 @@ def load(path) -> NoiseModel:
         raise FormatError(f"{path}: noise directions are not orthonormal "
                           f"(max |V V^T - I| = {error:.3g})")
     vk.setflags(write=False)
-    return NoiseModel(vk=vk, dim=dim, singular_values=singular_values)
+    return NoiseModel(vk=vk, singular_values=singular_values)

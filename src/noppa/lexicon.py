@@ -43,10 +43,13 @@ class VectorTable:
     never a silent zero vector.
     """
 
-    dim: int
     matrix: np.ndarray  # (vocab_size, dim) float32, read-only
     index: dict[str, int]
     source_hash: str | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     @property
     def vocab_size(self) -> int:
@@ -65,7 +68,8 @@ class VectorTable:
 
     @classmethod
     def from_mapping(cls, entries: dict[str, "np.ndarray | list[float]"]) -> "VectorTable":
-        """Build a table from an in-memory mapping (tests, synthetic data)."""
+        """Build a table from an in-memory mapping (tests, synthetic data);
+        a vector with no components is refused, as in a vector file."""
         if not entries:
             raise FormatError("vector table must not be empty")
         index: dict[str, int] = {}
@@ -74,6 +78,8 @@ class VectorTable:
             row = np.asarray(vec, dtype=np.float32)
             if row.ndim != 1:
                 raise FormatError(f"vector for {token!r} is not 1-dimensional")
+            if row.shape[0] == 0:
+                raise FormatError(f"no vector components for {token!r}")
             if not np.isfinite(row).all():
                 raise FormatError(f"non-finite vector for {token!r}")
             index[token] = len(rows)
@@ -83,7 +89,7 @@ class VectorTable:
             raise FormatError(f"inconsistent vector dimensions: {sorted(dims)}")
         matrix = np.stack(rows)
         matrix.setflags(write=False)
-        return cls(dim=matrix.shape[1], matrix=matrix, index=index)
+        return cls(matrix=matrix, index=index)
 
 
 @dataclass(frozen=True)
@@ -96,9 +102,6 @@ class FrequencyTable:
     def get(self, token: str) -> float:
         """Pr(token); absent tokens are treated as maximally rare (0.0)."""
         return self.probabilities.get(token, 0.0)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.probabilities
 
     @classmethod
     def from_counts(cls, counts: dict[str, int]) -> "FrequencyTable":
@@ -332,8 +335,7 @@ def _parse_vectors(path) -> VectorTable:
     matrix.setflags(write=False)
     logger.info("loaded %d vectors (dim=%d, %d lines parsed) from %s",
                 len(rows), dim, parsed, path)
-    return VectorTable(dim=int(dim), matrix=matrix, index=index,
-                       source_hash=sha.hexdigest())
+    return VectorTable(matrix=matrix, index=index, source_hash=sha.hexdigest())
 
 
 # Version of a cache entry's layout and of the parser behind it; a change to
@@ -396,8 +398,7 @@ def _read_entry(entry: str, digest: str) -> VectorTable:
             and matrix.ndim == 2 and len(index) == len(tokens) == matrix.shape[0]):
         raise corrupted(f"matrix {matrix.dtype} {matrix.shape}, "
                         f"{len(tokens)} tokens, {len(index)} distinct")
-    return VectorTable(dim=matrix.shape[1], matrix=matrix, index=index,
-                       source_hash=digest)
+    return VectorTable(matrix=matrix, index=index, source_hash=digest)
 
 
 def save_vectors(table: VectorTable, path) -> None:

@@ -18,6 +18,15 @@ from .evalkit import LabeledDataset
 from .lexicon import FrequencyTable, VectorTable
 
 
+N_CLASSES = 2
+STOP_SCALE = 2.0  # stopword norm over that of the other words
+TOPIC_STRENGTH = 0.8  # length of a topic word's class component
+STOP_FRAC = 0.55  # chance that a word of a sentence is a stopword,
+NEUTRAL_FRAC = 0.10  # or else a neutral word; the rest are topic words
+TOPIC_FLIP = 0.08  # chance that a topic word is of a random class
+LABEL_NOISE = 0.04  # chance that a label is redrawn at random
+
+
 @dataclass(frozen=True)
 class SyntheticLexicon:
     vectors: VectorTable
@@ -28,30 +37,28 @@ class SyntheticLexicon:
 
 
 def make_lexicon(seed: int = 7, dim: int = 50, n_stop: int = 40,
-                 n_neutral: int = 200, n_topic: int = 150,
-                 n_classes: int = 2, stop_scale: float = 2.0,
-                 topic_strength: float = 0.8) -> SyntheticLexicon:
+                 n_neutral: int = 200, n_topic: int = 150) -> SyntheticLexicon:
     """Vectors and corpus-like frequencies for a synthetic vocabulary."""
     rng = np.random.default_rng(seed)
-    directions = rng.standard_normal((n_classes, dim))
+    directions = rng.standard_normal((N_CLASSES, dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
 
     entries: dict[str, np.ndarray] = {}
     counts: dict[str, int] = {}
     stopwords = [f"stop{i:02d}" for i in range(n_stop)]
     for w in stopwords:
-        entries[w] = rng.standard_normal(dim) * stop_scale / np.sqrt(dim)
+        entries[w] = rng.standard_normal(dim) * STOP_SCALE / np.sqrt(dim)
         counts[w] = 50_000
     neutral = [f"word{i:03d}" for i in range(n_neutral)]
     for w in neutral:
         entries[w] = rng.standard_normal(dim) / np.sqrt(dim)
         counts[w] = 100
     topics = []
-    for c in range(n_classes):
+    for c in range(N_CLASSES):
         words = [f"c{c}t{i:03d}" for i in range(n_topic)]
         for w in words:
             entries[w] = (rng.standard_normal(dim) / np.sqrt(dim)
-                          + topic_strength * directions[c])
+                          + TOPIC_STRENGTH * directions[c])
             counts[w] = 20
         topics.append(words)
     return SyntheticLexicon(
@@ -62,10 +69,7 @@ def make_lexicon(seed: int = 7, dim: int = 50, n_stop: int = 40,
 
 def make_topic_corpus(lex: SyntheticLexicon, seed: int = 11,
                       train: int = 2000, dev: int = 250, test: int = 500,
-                      min_len: int = 6, max_len: int = 14,
-                      stop_frac: float = 0.55, neutral_frac: float = 0.10,
-                      topic_flip: float = 0.08,
-                      label_noise: float = 0.04) -> LabeledDataset:
+                      min_len: int = 6, max_len: int = 14) -> LabeledDataset:
     """Labeled sentences whose class shows only through rare topic words."""
     rng = np.random.default_rng(seed)
     n_classes = len(lex.topics)
@@ -75,13 +79,13 @@ def make_topic_corpus(lex: SyntheticLexicon, seed: int = 11,
         words = []
         for _ in range(length):
             roll = rng.random()
-            if roll < stop_frac:
+            if roll < STOP_FRAC:
                 pool = lex.stopwords
-            elif roll < stop_frac + neutral_frac:
+            elif roll < STOP_FRAC + NEUTRAL_FRAC:
                 pool = lex.neutral
             else:
                 cls = label
-                if rng.random() < topic_flip:
+                if rng.random() < TOPIC_FLIP:
                     cls = int(rng.integers(0, n_classes))
                 pool = lex.topics[cls]
             words.append(pool[int(rng.integers(0, len(pool)))])
@@ -92,7 +96,7 @@ def make_topic_corpus(lex: SyntheticLexicon, seed: int = 11,
         for _ in range(count):
             label = int(rng.integers(0, n_classes))
             text = sentence(label)
-            if rng.random() < label_noise:
+            if rng.random() < LABEL_NOISE:
                 label = int(rng.integers(0, n_classes))
             rows.append((text, label))
         return rows

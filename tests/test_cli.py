@@ -638,7 +638,8 @@ _RULE_CASES = {"infinite": ("inf", "0", "a must be finite and positive, got inf"
 
 
 class TestBadNumbers:
-    """Malformed numbers on the command line: exit 1 and one error line."""
+    """Malformed numbers and --group specs on the command line: exit 1 and one
+    error line."""
 
     @pytest.mark.parametrize("argv,message", [
         (["--k-grid", ""], "cannot parse grid ''"),
@@ -748,6 +749,18 @@ class TestBadNumbers:
         assert run(["bench", "--vectors", str(tmp / "nope.txt"), "--freq", freq,
                     *argv]) == 1
         _one_line_error(capsys, message)
+
+    @pytest.mark.parametrize("group,message", [
+        ("bad", "--group expects NAME=tok1,tok2,... got 'bad'"),
+        ("x=", "empty token group: 'x'"),
+        ("x=,,", "empty token group: 'x'"),
+    ], ids=["no-equals", "no-tokens", "only-commas"])
+    def test_weight_curve_group_checked_before_loading(self, tmp_path, capsys,
+                                                        group, message):
+        capsys.readouterr()
+        assert run(["weight-curve", "--freq", str(tmp_path / "nope.tsv"),
+                    "--group", "stop=the", "--group", group]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_weight_curve_infinite_a(self, world, capsys):
         _, _, freq, _ = world

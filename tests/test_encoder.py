@@ -351,7 +351,7 @@ class TestDecimalOracle:
     offsets and weights that the engine itself reads."""
 
     # Error in units of the row's max |value|; measured at most 3.9e-16 over
-    # these 100 cases (README, "How a sentence becomes a vector").
+    # these 125 cases (README, "How a sentence becomes a vector").
     BOUND = 1e-15
 
     @staticmethod
@@ -362,10 +362,13 @@ class TestDecimalOracle:
             return rng.standard_normal(d) + 1e-4 * rng.standard_normal((40, d))
         if kind == "repeated":  # three words, so most sentences repeat one
             return rng.standard_normal((3, d))
-        # Entries near 1e15 swallow the position offsets (README, "File formats").
-        return 1e15 * rng.uniform(0.5, 1.5, (5, d)) * rng.choice([-1.0, 1.0], (5, d))
+        # Entries near 1e15, or near the top of float32's range, swallow the
+        # position offsets (README, "File formats").
+        scale = {"near-1e15": 1e15, "near-3e37": 3e37}[kind]
+        return scale * rng.uniform(0.5, 1.5, (5, d)) * rng.choice([-1.0, 1.0], (5, d))
 
-    @pytest.mark.parametrize("kind", ["random", "clustered", "repeated", "near-1e15"])
+    @pytest.mark.parametrize("kind", ["random", "clustered", "repeated", "near-1e15",
+                                      "near-3e37"])
     def test_engine_within_bound_of_exact_formula(self, kind):
         errors = []
         for seed in range(25):
@@ -387,3 +390,25 @@ class TestDecimalOracle:
             errors.append(float(max(abs(Decimal(float(g)) - v) for g, v in zip(got, want))
                                 / scale))
         assert max(errors) <= self.BOUND, (kind, max(errors))
+
+    @pytest.mark.parametrize("scale,all_lost", [(1e15, False), (1e17, True), (3e37, True)])
+    def test_repeated_word_loses_its_offsets(self, scale, all_lost):
+        # README, "File formats": the copies in "w w" differ only by their
+        # position offsets, which float64 rounds away in some components near
+        # 1e15 and in all from 1e17.  Those contextual components are 0.0,
+        # where the formula is positive (at 80 digits: near 3e37, 40 digits
+        # round the smallest offsets away too).  The bound above does not show
+        # this loss, because the word block sets the row's max |value|.
+        d = 8
+        rng = np.random.default_rng(0)
+        word = (scale * rng.uniform(0.5, 1.5, d)
+                * rng.choice([-1.0, 1.0], d)).astype(np.float32)
+        vt = VectorTable.from_mapping({"w": word})
+        got, _ = contextual_embeddings(TokenSequence(tokens=["w", "w"]), vt,
+                                       EncoderConfig(a=0.05, dim=d), np.ones(2))
+        want = oracles.decimal_sentence_embedding(
+            np.stack([word, word]).astype(np.float64),
+            np.stack([pos_embed(i, d) for i in range(2)]), np.ones(2), digits=80)
+        assert all(v > 0 for v in want[:d])
+        lost = int((got[:d] == 0.0).sum())
+        assert lost == d if all_lost else 0 < lost < d

@@ -417,6 +417,13 @@ class TestFromMapping:
         with pytest.raises(FormatError, match=r"inconsistent vector dimensions: \[2, 3\]"):
             VectorTable.from_mapping({"a": [1, 2], "b": [1, 2, 3]})
 
+    @pytest.mark.parametrize("entries", [{"a": []}, {"a": [1.0], "b": []}],
+                             ids=["only", "second"])
+    def test_vector_without_components(self, entries):
+        # dim is read off the matrix, so a (1, 0) matrix would be a dim-0 table
+        with pytest.raises(FormatError, match="no vector components for"):
+            VectorTable.from_mapping(entries)
+
 
 class TestVectorRoundTrip:
     @settings(max_examples=60, deadline=None)
