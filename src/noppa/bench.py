@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import platform
 import time
+from functools import partial
 
 import numpy as np
 
@@ -19,40 +20,37 @@ from .errors import NoppaError
 from .lexicon import FrequencyTable, TokenSequence, VectorTable, tokenize
 
 
-def _encode_times(token_lists, vectors, frequencies, config, repetitions):
-    """Seconds of each repetition's encode pass, and the encoded rows."""
-    times = []
+def _timed(passes, repetitions):
+    """Run every pass once per repetition, in turn, so a slow spell of the
+    host that outlasts a round hits all of them.  Seconds and last result."""
+    times, results = [[] for _ in passes], [None] * len(passes)
     for _ in range(repetitions):
-        t0 = time.perf_counter()
-        rows = encode_batch(token_lists, vectors, frequencies, config)[config.a]
-        times.append(time.perf_counter() - t0)
-    return times, rows
+        for i, run in enumerate(passes):
+            t0 = time.perf_counter()
+            results[i] = run()
+            times[i].append(time.perf_counter() - t0)
+    return times, results
+
+
+def _remove_25(rows, model):
+    for _ in range(25):
+        denoiser.remove_matrix(rows, model)
 
 
 def _probe_line(vectors, frequencies, config, k, n, count, repetitions, seed) -> str:
     rng = np.random.default_rng(seed)
     vocab = list(vectors.tokens())
-
-    def synthetic(length):
-        return [TokenSequence(tokens=[vocab[j] for j in rng.integers(0, len(vocab), length)])
-                for _ in range(count)]
-
-    short, long = synthetic(n), synthetic(2 * n)
-    encode_short, emb_short = _encode_times(short, vectors, frequencies, config,
-                                            repetitions)
-    encode_long, emb_long = _encode_times(long, vectors, frequencies, config,
-                                          repetitions)
+    batches = [[TokenSequence(tokens=[vocab[j] for j in rng.integers(0, len(vocab), m)])
+                for _ in range(count)] for m in (n, 2 * n)]
+    (encode_short, encode_long), results = _timed(
+        [partial(encode_batch, batch, vectors, frequencies, config) for batch in batches],
+        repetitions)
+    emb_short, emb_long = (result[config.a] for result in results)
     model = denoiser.fit(emb_short, min(max(k, 1), min(emb_short.shape)))
     # One remove_matrix pass is ~ms, so each reading averages 25 of them.
-    # The two batches take turns, so a slow spell of the host hits both.
-    denoise = ([], [])
-    for _ in range(max(repetitions, 10)):
-        for rows, times in zip((emb_short, emb_long), denoise):
-            t0 = time.perf_counter()
-            for _ in range(25):
-                denoiser.remove_matrix(rows, model)
-            times.append((time.perf_counter() - t0) / 25)
-    denoise_short, denoise_long = (float(np.mean(t)) for t in denoise)
+    times, _ = _timed([partial(_remove_25, rows, model) for rows in (emb_short, emb_long)],
+                      max(repetitions, 10))
+    denoise_short, denoise_long = (float(np.mean(t)) / 25 for t in times)
     return (f"scaling probe (n={n} vs {2 * n}, {count} sentences): "
             f"encode {min(encode_short):.4f}s -> {min(encode_long):.4f}s "
             f"(ratio {min(encode_long) / min(encode_short):.2f}); "
@@ -86,7 +84,8 @@ def report(sentences, vectors: VectorTable, frequencies: FrequencyTable,
     probe's noise model removes ``max(k, 1)`` directions."""
     check_options(k, repetitions, scaling_n, scaling_count, seed)
     token_lists = [t for t in (tokenize(s, vectors) for s in sentences) if len(t)]
-    times, _ = _encode_times(token_lists, vectors, frequencies, config, repetitions)
+    (times,), _ = _timed([partial(encode_batch, token_lists, vectors, frequencies, config)],
+                         repetitions)
     lines = [f"machine: {platform.platform()} | python {platform.python_version()} | "
              f"numpy {np.__version__} | cpu {platform.processor() or 'unknown'}",
              f"sentences: {len(token_lists)}",

@@ -395,7 +395,8 @@ def _read_entry(entry: str, digest: str) -> VectorTable:
         raise corrupted(" ".join(str(exc).split())) from None
     index = dict(zip(tokens, range(len(tokens))))
     if not (matrix.dtype == np.float32 and matrix.flags.c_contiguous
-            and matrix.ndim == 2 and len(index) == len(tokens) == matrix.shape[0]):
+            and matrix.ndim == 2 and len(index) == len(tokens) == matrix.shape[0]
+            and matrix.shape[1] >= 1):
         raise corrupted(f"matrix {matrix.dtype} {matrix.shape}, "
                         f"{len(tokens)} tokens, {len(index)} distinct")
     return VectorTable(matrix=matrix, index=index, source_hash=digest)
@@ -423,6 +424,8 @@ def load_frequencies(path) -> FrequencyTable:
             token, count_str = line.split("\t")
         except ValueError:
             raise FormatError(f"{path}: expected 'token<TAB>count' at line {lineno}") from None
+        if not token:
+            raise FormatError(f"{path}: empty token at line {lineno}")
         try:
             count = int(count_str)
         except ValueError:

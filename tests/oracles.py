@@ -3,14 +3,14 @@
 The encoder references are written with plain Python floats and ``math``
 only, as an independent check on the vectorized engine; keep them free of
 numpy.  ``decimal_sentence_embedding`` evaluates the same formula in
-``decimal`` arithmetic at 40 significant digits, the reference for the
-engine's own rounding error.  ``contextual_part`` and ``pool`` are the
-earlier numpy engine, which evaluated all n^2 kernel rows and pooled per
-word; they are the near-ulp reference for the pair-sum engine in
-``noppa.encoder``.  ``MLPClassifier`` at the end is a per-tensor numpy
-trainer (one array and one Adam update per parameter), the bitwise
-reference for the flat-vector trainer in ``noppa.evalkit``.  Keep this
-module free of any imports from the package under test.
+``decimal`` arithmetic at 40 significant digits below the largest entry,
+the reference for the engine's own rounding error.  ``contextual_part``
+and ``pool`` are the earlier numpy engine, which evaluated all n^2 kernel
+rows and pooled per word; they are the near-ulp reference for the
+pair-sum engine in ``noppa.encoder``.  ``MLPClassifier`` at the end is a
+per-tensor numpy trainer (one array and one Adam update per parameter),
+the bitwise reference for the flat-vector trainer in ``noppa.evalkit``.
+Keep this module free of any imports from the package under test.
 """
 
 import decimal
@@ -100,19 +100,22 @@ def remove_projection(vector, rows):
 # High-precision reference: the formula in decimal arithmetic.
 
 
-def decimal_sentence_embedding(rows, positions, weights, digits=40):
+def decimal_sentence_embedding(rows, positions, weights):
     """One sentence's vector as ``Decimal`` values: the contextual block,
     then the word block, each (1/n) sum_i w_i (...).
 
     ``rows`` (n x d word vectors), ``positions`` (n x d offsets; zeros for
     no positions) and ``weights`` (n) are floats read as exact inputs, so
     rows + positions is not rounded to float64.  Every operation is rounded
-    to ``digits`` significant digits: the attention uses ``Decimal.exp``,
+    to 40 significant digits plus the decimal exponent of the largest
+    |entry| of ``rows``, so the rounding stays near 1e-40 and the position
+    offsets survive at every magnitude: the attention uses ``Decimal.exp``,
     the kernel ``ln(1 + delta^2) / ln 2``, and nothing is rounded to float.
     """
     with decimal.localcontext() as ctx:
-        ctx.prec = digits
         dec = decimal.Decimal
+        largest = max(abs(float(v)) for row in rows for v in row)
+        ctx.prec = 40 + max(0, dec(largest).adjusted())
         n, d = len(rows), len(rows[0])
         raw = [[dec(float(v)) for v in row] for row in rows]
         pv = [[v + dec(float(p)) for v, p in zip(row, offsets)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from noppa import EncoderConfig, NoppaError
+from noppa import bench
 from noppa.bench import report
 
 from conftest import random_frequencies, random_table
@@ -28,6 +29,23 @@ class TestReport:
             r"scaling probe \(n=4 vs 8, 20 sentences\): "
             r"encode \d+\.\d{4}s -> \d+\.\d{4}s \(ratio \d+\.\d\d\); "
             r"denoise \d+\.\d{3}ms -> \d+\.\d{3}ms \(ratio \d+\.\d\d\)", lines[3])
+
+    def test_probe_alternates_short_and_long_encode_passes(self, monkeypatch):
+        # A slow spell of the host must hit both sides of the ratio, so the
+        # n and 2n passes take turns rather than running three then three.
+        rng = np.random.default_rng(203)
+        vt = random_table(rng, vocab_size=20, dim=4)
+        ft = random_frequencies(rng, vt)
+        lengths, encode_batch = [], bench.encode_batch
+
+        def recording(token_lists, *args, **kwargs):
+            lengths.append(sorted({len(t) for t in token_lists}))
+            return encode_batch(token_lists, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "encode_batch", recording)
+        report([], vt, ft, EncoderConfig(a=0.05, dim=4), k=1, repetitions=3,
+               scaling_n=4, scaling_count=5)
+        assert lengths == [[]] * 3 + [[4], [8]] * 3
 
     def test_repetition_floor(self):
         rng = np.random.default_rng(201)

@@ -346,9 +346,10 @@ class TestPairKernel:
 
 
 class TestDecimalOracle:
-    """The float64 engine against the formula evaluated at 40 digits
-    (``oracles.decimal_sentence_embedding``) on the float64 rows, position
-    offsets and weights that the engine itself reads."""
+    """The float64 engine against the formula evaluated at 40 digits below
+    the largest entry (``oracles.decimal_sentence_embedding``) on the
+    float64 rows, position offsets and weights that the engine itself
+    reads."""
 
     # Error in units of the row's max |value|; measured at most 3.9e-16 over
     # these 125 cases (README, "How a sentence becomes a vector").
@@ -396,8 +397,9 @@ class TestDecimalOracle:
         # README, "File formats": the copies in "w w" differ only by their
         # position offsets, which float64 rounds away in some components near
         # 1e15 and in all from 1e17.  Those contextual components are 0.0,
-        # where the formula is positive (at 80 digits: near 3e37, 40 digits
-        # round the smallest offsets away too).  The bound above does not show
+        # where the formula is positive: the reference keeps 40 digits below
+        # the largest entry, so near 3e37 it keeps the smallest offsets that a
+        # fixed 40 digits would round away.  The bound above does not show
         # this loss, because the word block sets the row's max |value|.
         d = 8
         rng = np.random.default_rng(0)
@@ -408,7 +410,7 @@ class TestDecimalOracle:
                                        EncoderConfig(a=0.05, dim=d), np.ones(2))
         want = oracles.decimal_sentence_embedding(
             np.stack([word, word]).astype(np.float64),
-            np.stack([pos_embed(i, d) for i in range(2)]), np.ones(2), digits=80)
+            np.stack([pos_embed(i, d) for i in range(2)]), np.ones(2))
         assert all(v > 0 for v in want[:d])
         lost = int((got[:d] == 0.0).sum())
         assert lost == d if all_lost else 0 < lost < d

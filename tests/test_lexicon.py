@@ -155,6 +155,7 @@ class TestVectorCache:
         ("tokens.txt", lambda b: b.replace(b"beta", b"alpha")),
         ("matrix.npy", lambda b: npy_bytes(np.zeros((2, 3)))),  # float64
         ("matrix.npy", lambda b: npy_bytes(np.zeros(2, np.float32))),  # 1-d
+        ("matrix.npy", lambda b: npy_bytes(np.zeros((2, 0), np.float32))),  # no columns
     ])
     def test_corrupted_entry_is_one_line_format_error(self, tmp_path, part,
                                                       damage):
@@ -469,6 +470,15 @@ class TestLoadFrequencies:
         write_lines(p, ["a\t1", "a\t2"])
         with pytest.raises(FormatError, match="duplicate"):
             load_frequencies(p)
+
+    def test_empty_token(self, tmp_path):
+        # Its count would go into the total and shrink every other word's
+        # probability, though the tokenizer never produces an empty token.
+        p = tmp_path / "freq.txt"
+        write_lines(p, ["the\t10", "\t5", "cat\t5"])
+        with pytest.raises(FormatError) as exc:
+            load_frequencies(p)
+        assert str(exc.value) == f"{p}: empty token at line 2"
 
     def test_missing_token_probability_zero(self, tmp_path):
         p = tmp_path / "freq.txt"
