@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NoppaError
 from .lexicon import FrequencyTable
-from .encoder import sfw
+from .encoder import sfw, word_rows
 from .pipeline import Pipeline
 
 # sfw(pr, a) -> 2 as a grows; curves are normalized by this limit.
@@ -81,8 +81,7 @@ def contribution_report(sentence: str, pipe: Pipeline,
     if sent_norm == 0.0:
         raise NoppaError("degenerate embedding")
     scores = []
-    for token in toks.tokens:
-        word = np.asarray(pipe.vectors.get(token), dtype=np.float64)
+    for word in word_rows(toks, pipe.vectors):
         tiled = np.concatenate([word, word])
         norm = float(np.linalg.norm(tiled))
         if norm == 0.0:

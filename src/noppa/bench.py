@@ -37,23 +37,33 @@ def _remove_25(rows, model):
         denoiser.remove_matrix(rows, model)
 
 
+# Sentences per timed chunk of the probe: one pass over all of them lasts
+# long enough for the host's speed to change within it, a chunk does not.
+PROBE_CHUNK = 50
+
+
 def _probe_line(vectors, frequencies, config, k, n, count, repetitions, seed) -> str:
     rng = np.random.default_rng(seed)
-    vocab = list(vectors.tokens())
-    batches = [[TokenSequence(tokens=[vocab[j] for j in rng.integers(0, len(vocab), m)])
-                for _ in range(count)] for m in (n, 2 * n)]
-    (encode_short, encode_long), results = _timed(
-        [partial(encode_batch, batch, vectors, frequencies, config) for batch in batches],
-        repetitions)
-    emb_short, emb_long = (result[config.a] for result in results)
+    vocab = list(vectors.index)  # token of each row
+    chunks = []
+    for m in (n, 2 * n):
+        ids = [rng.integers(0, len(vocab), m).tolist() for _ in range(count)]
+        batch = [TokenSequence(tokens=[vocab[j] for j in r], rows=r) for r in ids]
+        chunks.append([batch[i:i + PROBE_CHUNK] for i in range(0, count, PROBE_CHUNK)])
+    # Passes: short chunk 0, long chunk 0, short chunk 1, long chunk 1, ...
+    times, results = _timed([partial(encode_batch, chunk, vectors, frequencies, config)
+                             for pair in zip(*chunks) for chunk in pair], repetitions)
+    encode_short, encode_long = (sum(min(t) for t in times[side::2]) for side in (0, 1))
+    emb_short, emb_long = (np.concatenate([r[config.a] for r in results[side::2]])
+                           for side in (0, 1))
     model = denoiser.fit(emb_short, min(max(k, 1), min(emb_short.shape)))
     # One remove_matrix pass is ~ms, so each reading averages 25 of them.
     times, _ = _timed([partial(_remove_25, rows, model) for rows in (emb_short, emb_long)],
                       max(repetitions, 10))
     denoise_short, denoise_long = (float(np.mean(t)) / 25 for t in times)
     return (f"scaling probe (n={n} vs {2 * n}, {count} sentences): "
-            f"encode {min(encode_short):.4f}s -> {min(encode_long):.4f}s "
-            f"(ratio {min(encode_long) / min(encode_short):.2f}); "
+            f"encode {encode_short:.4f}s -> {encode_long:.4f}s "
+            f"(ratio {encode_long / encode_short:.2f}); "
             f"denoise {denoise_short * 1e3:.3f}ms -> {denoise_long * 1e3:.3f}ms "
             f"(ratio {denoise_long / denoise_short:.2f})")
 

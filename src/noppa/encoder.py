@@ -191,15 +191,10 @@ def _pooled_context(pv: np.ndarray, att: np.ndarray, weights: np.ndarray) -> np.
 
 
 def word_rows(tokens: TokenSequence, vectors: VectorTable) -> np.ndarray:
-    """The stored vectors of ``tokens`` as float64 rows, in one gather."""
+    """The rows that ``tokenize`` looked up, gathered as float64."""
     if len(tokens) == 0:
         raise EmptySentenceError("empty after filtering")
-    try:
-        ids = [vectors.index[t] for t in tokens.tokens]
-    except KeyError as exc:
-        raise NoppaError(
-            f"token without vector reached the encoder: {exc.args[0]!r}") from None
-    return vectors.matrix[ids].astype(np.float64)
+    return vectors.matrix[tokens.rows].astype(np.float64)
 
 
 def pool(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:

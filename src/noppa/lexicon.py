@@ -38,9 +38,9 @@ _PUNCT_TABLE = {ord(c): f" {c} " for c in PUNCTUATION}
 class VectorTable:
     """Immutable token -> d-dimensional word vector map.
 
-    Vectors are stored as float32 rows of a shared read-only matrix;
-    lookups return views.  A missing token yields an explicit ``None``,
-    never a silent zero vector.
+    ``index`` maps each token, in row order, to its row of a shared
+    read-only float32 ``matrix``; ``tokenize`` is the one place that looks
+    a word up in it.
     """
 
     matrix: np.ndarray  # (vocab_size, dim) float32, read-only
@@ -54,17 +54,6 @@ class VectorTable:
     @property
     def vocab_size(self) -> int:
         return len(self.index)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
-    def get(self, token: str) -> np.ndarray | None:
-        """Vector for ``token``, or ``None`` when absent."""
-        i = self.index.get(token)
-        return None if i is None else self.matrix[i]
-
-    def tokens(self):
-        return self.index.keys()
 
     @classmethod
     def from_mapping(cls, entries: dict[str, "np.ndarray | list[float]"]) -> "VectorTable":
@@ -120,11 +109,13 @@ class FrequencyTable:
 class TokenSequence:
     """Ordered tokens of one sentence plus the OOV tokens that were dropped.
 
+    ``rows`` holds the vector-table row of each token, in order.
     ``dropped`` holds (position, token) pairs indexed against the
     pre-filter token stream, in strictly increasing position order.
     """
 
     tokens: list[str]
+    rows: list[int]
     dropped: list[tuple[int, str]] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -132,17 +123,18 @@ class TokenSequence:
 
 
 def _decode(raw: bytes, path, lineno: int) -> str:
-    try:
-        return raw.decode("utf-8")
+    try:  # "utf-8-sig" drops a byte-order mark that starts line 1
+        return raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not UTF-8 at line {lineno}") from None
 
 
 def read_lines(path):
-    """Yield (line number, line without its newline) of a UTF-8 text file;
-    bytes that are not UTF-8 raise FormatError naming the file and line."""
+    """Yield (line number, line without its newline) of a UTF-8 text file
+    with no leading byte-order mark; bytes that are not UTF-8 raise
+    FormatError naming the file and line."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             yield from enumerate((line.rstrip("\n") for line in fh), start=1)
     except UnicodeDecodeError:
         with open(path, "rb") as fh:  # text mode decodes ahead; find the line
@@ -266,7 +258,7 @@ def _write_stamp(target: str, record: dict) -> None:
 
 def _vector_lines(fh, sha, path):
     """Yield (line number, whitespace-split fields) of each non-blank line,
-    feeding every byte of the file to ``sha``."""
+    feeding every byte of the file, a byte-order mark too, to ``sha``."""
     for lineno, raw in enumerate(fh, start=1):
         sha.update(raw)
         parts = _decode(raw, path, lineno).split()
@@ -340,7 +332,7 @@ def _parse_vectors(path) -> VectorTable:
 
 # Version of a cache entry's layout and of the parser behind it; a change to
 # either changes it, so an entry written by older code is never read.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 _MATRIX, _TOKENS = "matrix.npy", "tokens.txt"
 
 
@@ -426,6 +418,8 @@ def load_frequencies(path) -> FrequencyTable:
             raise FormatError(f"{path}: expected 'token<TAB>count' at line {lineno}") from None
         if not token:
             raise FormatError(f"{path}: empty token at line {lineno}")
+        if token.split() != [token]:
+            raise FormatError(f"{path}: whitespace in token at line {lineno}: {token!r}")
         try:
             count = int(count_str)
         except ValueError:
@@ -441,20 +435,18 @@ def load_frequencies(path) -> FrequencyTable:
     return FrequencyTable.from_counts(counts)
 
 
-def tokenize(raw: str, vectors: VectorTable | None = None) -> TokenSequence:
-    """Lowercase, isolate punctuation, split on whitespace.
-
-    When ``vectors`` is given, tokens without a vector are excluded from
-    ``tokens`` and recorded in ``dropped`` with their pre-filter position.
+def tokenize(raw: str, vectors: VectorTable) -> TokenSequence:
+    """Lowercase, isolate punctuation, split on whitespace, and look each
+    piece up once in ``vectors.index``: a piece with a vector is kept in
+    ``tokens`` with its row in ``rows``; one without is recorded in
+    ``dropped`` with its pre-filter position.
     """
-    pieces = raw.lower().translate(_PUNCT_TABLE).split()
-    if vectors is None:
-        return TokenSequence(tokens=pieces)
-    kept: list[str] = []
-    dropped: list[tuple[int, str]] = []
-    for pos, token in enumerate(pieces):
-        if token in vectors:
-            kept.append(token)
-        else:
+    kept, rows, dropped = [], [], []
+    for pos, token in enumerate(raw.lower().translate(_PUNCT_TABLE).split()):
+        row = vectors.index.get(token)
+        if row is None:
             dropped.append((pos, token))
-    return TokenSequence(tokens=kept, dropped=dropped)
+        else:
+            kept.append(token)
+            rows.append(row)
+    return TokenSequence(tokens=kept, rows=rows, dropped=dropped)

@@ -11,13 +11,14 @@ def random_table(rng, vocab_size=30, dim=8, scale=1.0):
 
 
 def random_frequencies(rng, table):
-    counts = {t: int(rng.integers(1, 5000)) for t in table.tokens()}
+    counts = {t: int(rng.integers(1, 5000)) for t in table.index}
     return FrequencyTable.from_counts(counts)
 
 
 def random_sentence(rng, table, n):
-    vocab = list(table.tokens())
-    return TokenSequence(tokens=[vocab[i] for i in rng.integers(0, len(vocab), n)])
+    vocab = list(table.index)
+    rows = rng.integers(0, len(vocab), n).tolist()
+    return TokenSequence(tokens=[vocab[i] for i in rows], rows=rows)
 
 
 @pytest.fixture

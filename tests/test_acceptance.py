@@ -19,7 +19,7 @@ from scipy.linalg import subspace_angles
 
 from noppa import (EncoderConfig, FrequencyTable, TokenSequence, VectorTable,
                    attention, contextual_embeddings, denoiser, encode,
-                   evalkit, log_kernel, pos_embed, sfw, synth)
+                   evalkit, log_kernel, pos_embed, sfw, synth, tokenize)
 
 import oracles
 
@@ -43,8 +43,9 @@ def random_world(rng, vocab=25, dim=6):
 
 
 def random_tokens(rng, vt, n):
-    vocab = list(vt.tokens())
-    return TokenSequence(tokens=[vocab[i] for i in rng.integers(0, len(vocab), n)])
+    vocab = list(vt.index)
+    rows = rng.integers(0, len(vocab), n).tolist()
+    return TokenSequence(tokens=[vocab[i] for i in rows], rows=rows)
 
 
 class TestCriterion1Properties:
@@ -102,7 +103,7 @@ class TestCriterion1Properties:
                                             if p_num else {"pad": 10000})
             a = float(rng.uniform(0.01, 0.5))
             cfg = EncoderConfig(a=a, dim=d)
-            vector, _ = encode(TokenSequence(tokens=["tok"]), vt, ft, cfg)
+            vector, _ = encode(tokenize("tok", vt), vt, ft, cfg)
             p = ft.get("tok")
             expected = (a / (p + a / 2)) * np.concatenate(
                 [np.zeros(d), vec.astype(np.float64)])
@@ -122,7 +123,7 @@ class TestCriterion1Properties:
             toks = random_tokens(rng, vt, n)
             # Weights n * e_i make pooled row i word i's own row.
             per_word, att = contextual_embeddings(toks, vt, cfg, n * np.eye(n))
-            raw = np.stack([vt.get(t) for t in toks.tokens]).astype(np.float64)
+            raw = vt.matrix[[vt.index[t] for t in toks.tokens]].astype(np.float64)
             pv = raw + np.stack([pos_embed(i, cfg.dim) for i in range(n)])
             for i in range(n):
                 pairwise = np.stack([
@@ -144,7 +145,8 @@ class TestCriterion1Properties:
             toks = random_tokens(rng, vt, n)
             base, _ = encode(toks, vt, ft, cfg)
             perm = rng.permutation(n)
-            shuffled = TokenSequence(tokens=[toks.tokens[i] for i in perm])
+            shuffled = TokenSequence(tokens=[toks.tokens[i] for i in perm],
+                                     rows=[toks.rows[i] for i in perm])
             other, _ = encode(shuffled, vt, ft, cfg)
             worst = max(worst, float(np.abs(base - other).max()))
         check("C1 permutation invariance, positions off (1e-10)", worst <= 1e-10,
@@ -205,7 +207,7 @@ class TestCriterion2Oracle:
             a = float(rng.uniform(0.01, 0.3))
             cfg = EncoderConfig(a=a, dim=d)
             vector, _ = encode(toks, vt, ft, cfg)
-            stored = [[float(v) for v in vt.get(t)] for t in toks.tokens]
+            stored = vt.matrix[[vt.index[t] for t in toks.tokens]].astype(float).tolist()
             probs = [ft.get(t) for t in toks.tokens]
             expected = oracles.sentence_embedding(stored, probs, a)
             worst_raw = max(worst_raw, float(np.abs(vector - expected).max()))

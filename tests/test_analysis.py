@@ -70,7 +70,7 @@ class TestContributionReport:
         # cosine scores must not depend on a uniform positive rescaling,
         # exercised here through the inert-by-scaling weight constant
         report = analysis.contribution_report("the girl eats a cake", pipe)
-        vecs = {t: pipe.vectors.get(t) for t in report.tokens}
+        vecs = {t: pipe.vectors.matrix[pipe.vectors.index[t]] for t in report.tokens}
         _, vector, _ = pipe.embed("the girl eats a cake")
         scaled = vector * 7.5
         for token, score in zip(report.tokens, report.scores):

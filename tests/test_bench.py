@@ -15,7 +15,7 @@ class TestReport:
         rng = np.random.default_rng(200)
         vt = random_table(rng, vocab_size=50, dim=8)
         ft = random_frequencies(rng, vt)
-        vocab = list(vt.tokens())
+        vocab = list(vt.index)
         sentences = [" ".join(vocab[i:i + 5]) for i in range(0, 40, 5)] + ["zzz"]
         text = report(sentences, vt, ft, EncoderConfig(a=0.05, dim=8), k=2,
                       repetitions=3, scaling_n=4, scaling_count=20)
@@ -46,6 +46,24 @@ class TestReport:
         report([], vt, ft, EncoderConfig(a=0.05, dim=4), k=1, repetitions=3,
                scaling_n=4, scaling_count=5)
         assert lengths == [[]] * 3 + [[4], [8]] * 3
+
+    def test_probe_chunks_take_turns(self, monkeypatch):
+        # Each side's sentences are timed in chunks of 50, and the short and
+        # long chunks take turns within every round.
+        rng = np.random.default_rng(204)
+        vt = random_table(rng, vocab_size=20, dim=4)
+        ft = random_frequencies(rng, vt)
+        calls, encode_batch = [], bench.encode_batch
+
+        def recording(token_lists, *args, **kwargs):
+            calls.append((sorted({len(t) for t in token_lists}), len(token_lists)))
+            return encode_batch(token_lists, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "encode_batch", recording)
+        report([], vt, ft, EncoderConfig(a=0.05, dim=4), k=1, repetitions=3,
+               scaling_n=4, scaling_count=120)
+        assert calls == [([], 0)] * 3 + [([4], 50), ([8], 50), ([4], 50), ([8], 50),
+                                          ([4], 20), ([8], 20)] * 3
 
     def test_repetition_floor(self):
         rng = np.random.default_rng(201)

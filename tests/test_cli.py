@@ -296,6 +296,36 @@ class TestBadFiles:
                     paths["noise"], sent]) == 1
         _one_line_error(capsys, paths[which], "line 3")
 
+    @pytest.mark.parametrize("which", ["vectors", "freq", "sentences", "noise"])
+    def test_byte_order_mark_is_not_part_of_the_first_token(self, world, capsys,
+                                                             which):
+        # The mark would glue itself to the file's first token: "the" would
+        # lose its vector, its frequency or its place in line 1, and the
+        # noise model's header would not parse.
+        tmp, vec, freq, sent = world
+        paths = {"vectors": vec, "freq": freq, "sentences": sent,
+                 "noise": str(tmp / "noise.txt")}
+        assert run(["fit-noise", "--vectors", vec, "--freq", freq, "-k", "2",
+                    "--out", paths["noise"], sent]) == 0
+        argv = ["embed", "--vectors", vec, "--freq", freq, "--noise-model",
+                paths["noise"], sent]
+        capsys.readouterr()
+        assert run(argv) == 0
+        plain = capsys.readouterr()
+        with open(paths[which], "rb") as fh:
+            data = fh.read()
+        with open(paths[which], "wb") as fh:
+            fh.write(b"\xef\xbb\xbf" + data)
+        assert run(argv) == 0
+        assert capsys.readouterr() == plain
+
+    def test_byte_order_mark_in_dataset(self, tmp_path):
+        rows = [f"{i % 2}\tgirl eats cake {i}" for i in range(20)]
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        marked.write_text("\ufeff" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert evalkit.load_dataset("toy", marked) == evalkit.load_dataset("toy", plain)
+
     def test_non_utf8_dataset_names_file_and_line(self, world, capsys):
         tmp, vec, freq, _ = world
         ds = tmp / "toy.tsv"

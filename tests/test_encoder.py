@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from noppa import (EmptySentenceError, EncoderConfig, NoppaError, FrequencyTable,
                    TokenSequence, VectorTable, attention, contextual_embeddings,
-                   encode, log_kernel, pos_embed, sfw)
+                   encode, log_kernel, pos_embed, sfw, tokenize)
 from noppa.encoder import token_weights
 
 from conftest import random_sentence
@@ -144,7 +144,7 @@ class TestEncode:
     def test_single_token_closed_form(self):
         vec = [0.5, -1.5, 2.0]
         vt, ft, cfg = single_token_world(0.2, 0.05, vec)
-        toks = TokenSequence(tokens=["only"])
+        toks = tokenize("only", vt)
         vector, _ = encode(toks, vt, ft, cfg)
         p = ft.get("only")
         expected = (cfg.a / (p + cfg.a / 2)) * np.concatenate([np.zeros(3), vec])
@@ -165,29 +165,29 @@ class TestEncode:
         vt = VectorTable.from_mapping(vectors)
         ft = FrequencyTable.from_counts({"aa": 3, "bb": 1})
         cfg = EncoderConfig(a=0.08, dim=2)
-        toks = TokenSequence(tokens=["aa", "bb"])
+        toks = tokenize("aa bb", vt)
         vector, _ = encode(toks, vt, ft, cfg)
         # float32 storage rounds the inputs; feed the oracle the same values
-        stored = [[float(v) for v in vt.get(t)] for t in toks.tokens]
+        stored = vt.matrix[[vt.index[t] for t in toks.tokens]].astype(float).tolist()
         expected = oracles.sentence_embedding(stored, [0.75, 0.25], 0.08)
         np.testing.assert_allclose(vector, expected, atol=1e-12)
 
     def test_empty_after_filtering(self, tiny_world):
         vt, ft, cfg = tiny_world
         with pytest.raises(EmptySentenceError, match="empty after filtering"):
-            encode(TokenSequence(tokens=[]), vt, ft, cfg)
+            encode(tokenize("", vt), vt, ft, cfg)
 
     def test_dim_mismatch(self, tiny_world):
         vt, ft, _ = tiny_world
         bad = EncoderConfig(a=0.05, dim=vt.dim + 1)
         with pytest.raises(NoppaError, match="dim mismatch"):
-            encode(TokenSequence(tokens=[next(iter(vt.tokens()))]), vt, ft, bad)
+            encode(tokenize(next(iter(vt.index)), vt), vt, ft, bad)
 
     def test_missing_frequency_gets_max_weight(self):
         vt = VectorTable.from_mapping({"raretok": [1.0, 0.0]})
         ft = FrequencyTable.from_counts({"other": 10})
         cfg = EncoderConfig(a=0.05, dim=2)
-        toks = TokenSequence(tokens=["raretok"])
+        toks = tokenize("raretok", vt)
         np.testing.assert_allclose(token_weights(toks, ft, cfg.a), [2.0])
         # One word pools to its weight times concat(0, word vector).
         vector, _ = encode(toks, vt, ft, cfg)
@@ -221,7 +221,7 @@ class TestContextualStructure:
         rng = np.random.default_rng(5)
         toks = random_sentence(rng, vt, 6)
         per_word, _ = contextual_embeddings(toks, vt, cfg, one_hot_weights(6))
-        raw = np.stack([vt.get(t) for t in toks.tokens]).astype(np.float64)
+        raw = vt.matrix[[vt.index[t] for t in toks.tokens]].astype(np.float64)
         np.testing.assert_array_equal(per_word[:, cfg.dim:], raw)
 
     def test_concatenation_orderings_agree(self, tiny_world):
@@ -231,7 +231,7 @@ class TestContextualStructure:
         rng = np.random.default_rng(6)
         toks = random_sentence(rng, vt, 8)
         per_word, att = contextual_embeddings(toks, vt, cfg, one_hot_weights(8))
-        raw = np.stack([vt.get(t) for t in toks.tokens]).astype(np.float64)
+        raw = vt.matrix[[vt.index[t] for t in toks.tokens]].astype(np.float64)
         pv = raw + np.stack([pos_embed(i, cfg.dim) for i in range(len(toks))])
         for i in range(len(toks)):
             pairwise = np.stack([
@@ -249,7 +249,8 @@ class TestContextualStructure:
         base, _ = encode(toks, vt, ft, cfg)
         for _ in range(5):
             perm = list(rng.permutation(len(toks)))
-            shuffled = TokenSequence(tokens=[toks.tokens[i] for i in perm])
+            shuffled = TokenSequence(tokens=[toks.tokens[i] for i in perm],
+                                     rows=[toks.rows[i] for i in perm])
             np.testing.assert_allclose(encode(shuffled, vt, ft, cfg)[0],
                                        base, atol=1e-10)
 
@@ -262,7 +263,8 @@ class TestContextualStructure:
         changed = False
         for _ in range(10):
             perm = list(rng.permutation(len(toks)))
-            shuffled = TokenSequence(tokens=[toks.tokens[i] for i in perm])
+            shuffled = TokenSequence(tokens=[toks.tokens[i] for i in perm],
+                                     rows=[toks.rows[i] for i in perm])
             if not np.allclose(encode(shuffled, vt, ft, cfg)[0], base,
                                atol=1e-10):
                 changed = True
@@ -274,7 +276,7 @@ class TestContextualStructure:
         rng = np.random.default_rng(9)
         toks = random_sentence(rng, vt, 9)
         per_word, _ = contextual_embeddings(toks, vt, cfg, one_hot_weights(9))
-        raw = np.stack([vt.get(t) for t in toks.tokens]).astype(np.float64)
+        raw = vt.matrix[[vt.index[t] for t in toks.tokens]].astype(np.float64)
         pv = raw + np.stack([pos_embed(i, cfg.dim) for i in range(len(toks))])
         kernels = np.stack([[log_kernel(pv[i], pv[j]) for j in range(len(toks))]
                             for i in range(len(toks))])
@@ -293,7 +295,7 @@ class TestPairKernel:
             {f"w{i}": rng.standard_normal(dim).astype(np.float32) for i in range(40)})
         toks = random_sentence(rng, vt, n)
         cfg = EncoderConfig(a=0.05, dim=dim, use_positions=use_positions)
-        raw = np.stack([vt.get(t) for t in toks.tokens]).astype(np.float64)
+        raw = vt.matrix[[vt.index[t] for t in toks.tokens]].astype(np.float64)
         pv = raw + np.stack([pos_embed(i, dim) for i in range(n)]) if use_positions else raw
         return vt, toks, cfg, raw, pv, rng
 
@@ -337,13 +339,6 @@ class TestPairKernel:
             with pytest.raises(NoppaError, match="weights of shape"):
                 contextual_embeddings(toks, vt, cfg, bad)
 
-    def test_token_without_vector_rejected(self, tiny_world):
-        vt, ft, cfg = tiny_world
-        toks = TokenSequence(tokens=[next(iter(vt.tokens())), "zzz"])
-        with pytest.raises(NoppaError,
-                           match="token without vector reached the encoder: 'zzz'"):
-            contextual_embeddings(toks, vt, cfg, np.ones(2))
-
 
 class TestDecimalOracle:
     """The float64 engine against the formula evaluated at 40 digits below
@@ -379,7 +374,7 @@ class TestDecimalOracle:
             words = self.vocabulary(kind, rng, d).astype(np.float32)
             vt = VectorTable.from_mapping({f"w{i}": v for i, v in enumerate(words)})
             ids = rng.integers(0, len(words), n)
-            toks = TokenSequence(tokens=[f"w{i}" for i in ids])
+            toks = tokenize(" ".join(f"w{i}" for i in ids), vt)
             weights = rng.uniform(0.05, 2.0, n)
             got, _ = contextual_embeddings(
                 toks, vt, EncoderConfig(a=0.05, dim=d, use_positions=use_positions), weights)
@@ -406,7 +401,7 @@ class TestDecimalOracle:
         word = (scale * rng.uniform(0.5, 1.5, d)
                 * rng.choice([-1.0, 1.0], d)).astype(np.float32)
         vt = VectorTable.from_mapping({"w": word})
-        got, _ = contextual_embeddings(TokenSequence(tokens=["w", "w"]), vt,
+        got, _ = contextual_embeddings(tokenize("w w", vt), vt,
                                        EncoderConfig(a=0.05, dim=d), np.ones(2))
         want = oracles.decimal_sentence_embedding(
             np.stack([word, word]).astype(np.float64),

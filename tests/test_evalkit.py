@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from noppa import (EmptySentenceError, EncoderConfig, FormatError,
-                   InfeasibleConfigError, NoppaError, TokenSequence,
-                   contextual_embeddings, encode, evalkit, sfw, synth)
+                   InfeasibleConfigError, NoppaError, contextual_embeddings,
+                   encode, evalkit, sfw, synth, tokenize)
 from noppa.encoder import encode_batch
 from noppa.evalkit import (MLPClassifier, grid_search, load_dataset,
                            pair_features, subset, train_classifier)
@@ -138,7 +138,7 @@ class TestEncodeBatch:
         batch = encode_batch(token_lists, vt, ft, cfg, [0.01, 0.1])
         for a, rows in batch.items():
             for row, toks in zip(rows, token_lists):
-                stored = [[float(v) for v in vt.get(t)] for t in toks.tokens]
+                stored = vt.matrix[[vt.index[t] for t in toks.tokens]].astype(float).tolist()
                 probs = [ft.get(t) for t in toks.tokens]
                 expected = oracles.sentence_embedding(stored, probs, a,
                                                       use_positions)
@@ -163,12 +163,12 @@ class TestEncodeBatch:
     def test_empty_sentence_rejected(self, tiny_world):
         vt, ft, cfg = tiny_world
         with pytest.raises(EmptySentenceError):
-            encode_batch([TokenSequence(tokens=[])], vt, ft, cfg)
+            encode_batch([tokenize("", vt)], vt, ft, cfg)
 
     def test_raw_pools_stored_vectors(self, tiny_world):
         vt, ft, cfg = tiny_world
         toks = random_sentence(np.random.default_rng(14), vt, 7)
-        stored = np.stack([vt.get(t) for t in toks.tokens]).astype(np.float64)
+        stored = vt.matrix[[vt.index[t] for t in toks.tokens]].astype(np.float64)
         probs = np.array([ft.get(t) for t in toks.tokens], dtype=np.float64)
         batch = encode_batch([toks], vt, ft, cfg, [0.01, 0.1], raw=True)
         for a, rows in batch.items():
@@ -179,7 +179,7 @@ class TestEncodeBatch:
 class TestEmbedSplit:
     def test_raw_variant_dimension(self, tiny_world):
         vt, ft, cfg = tiny_world
-        vocab = list(vt.tokens())
+        vocab = list(vt.index)
         sentences = [" ".join(vocab[:4]), " ".join(vocab[4:7])]
         mats, kept = evalkit.embed_split(sentences, "glove_avg", cfg, vt, ft)
         assert mats[cfg.a].shape == (2, vt.dim)
@@ -187,7 +187,7 @@ class TestEmbedSplit:
 
     def test_contextual_variant_dimension(self, tiny_world):
         vt, ft, cfg = tiny_world
-        vocab = list(vt.tokens())
+        vocab = list(vt.index)
         mats, _ = evalkit.embed_split([" ".join(vocab[:5])], "noppa", cfg, vt, ft,
                                       a_values=[0.01, 0.1])
         assert set(mats) == {0.01, 0.1}
@@ -196,7 +196,7 @@ class TestEmbedSplit:
 
     def test_all_oov_sentences_dropped(self, tiny_world):
         vt, ft, cfg = tiny_world
-        vocab = list(vt.tokens())
+        vocab = list(vt.index)
         mats, kept = evalkit.embed_split(
             ["zzz qqq", " ".join(vocab[:3])], "noppa", cfg, vt, ft)
         assert kept == [1]
@@ -204,7 +204,7 @@ class TestEmbedSplit:
 
     def test_uniform_weights_match_plain_mean(self, tiny_world):
         vt, ft, cfg = tiny_world
-        vocab = list(vt.tokens())
+        vocab = list(vt.index)
         sentence = " ".join(vocab[:6])
         cfg_u = EncoderConfig(a=0.05, dim=vt.dim)
         mats, _ = evalkit.embed_split([sentence], "ce_avg", cfg_u, vt, ft)
@@ -215,7 +215,7 @@ class TestEmbedSplit:
 
     def test_pairs_and_mixed_arity(self, tiny_world):
         vt, ft, cfg = tiny_world
-        vocab = list(vt.tokens())
+        vocab = list(vt.index)
         u, v = " ".join(vocab[:3]), " ".join(vocab[3:7])
         mats, kept = evalkit.embed_split([(u, v), (u, "zzz")], "noppa", cfg, vt, ft,
                                          pairs=True)

@@ -37,7 +37,7 @@ class TestLoadVectors:
         table = load_vectors(p)
         assert table.dim == 3
         assert table.vocab_size == 2
-        np.testing.assert_allclose(table.get("beta"), [1, 2, 3])
+        np.testing.assert_allclose(table.matrix[table.index["beta"]], [1, 2, 3])
 
     def test_dim_mismatch_names_line(self, tmp_path):
         p = tmp_path / "vec.txt"
@@ -63,19 +63,39 @@ class TestLoadVectors:
         with pytest.raises(FileNotFoundError):
             load_vectors(tmp_path / "absent.txt")
 
-    def test_duplicates_keep_first(self, tmp_path):
+    def test_duplicates_keep_first(self, tmp_path, caplog):
         p = tmp_path / "vec.txt"
-        write_lines(p, ["tok 1 2", "tok 3 4"])
-        table = load_vectors(p)
-        assert table.vocab_size == 1
-        np.testing.assert_allclose(table.get("tok"), [1, 2])
+        write_lines(p, ["tok 1 2", "a 5 6", "tok 3 4", "b 7 8", "a 9 9"])
+        for outcome in ("miss, wrote", "hit"):
+            with caplog.at_level(logging.INFO, logger="noppa.lexicon"):
+                caplog.clear()
+                table = load_vectors(p)
+            assert f"vector cache {outcome}" in caplog.text
+            assert table.vocab_size == 3
+            np.testing.assert_allclose(table.matrix[table.index["tok"]], [1, 2])
+            # tokenize gives each kept token the row of its first occurrence.
+            seq = tokenize("b tok zz a tok", table)
+            assert seq.tokens == ["b", "tok", "a", "tok"]
+            assert seq.rows == [2, 0, 1, 0]
+            np.testing.assert_array_equal(table.matrix[seq.rows],
+                                          [[7, 8], [1, 2], [5, 6], [1, 2]])
 
     def test_missing_token_is_none(self, tmp_path):
         p = tmp_path / "vec.txt"
         write_lines(p, ["tok 1 2"])
         table = load_vectors(p)
-        assert table.get("absent") is None
-        assert "absent" not in table
+        seq = tokenize("absent", table)
+        assert seq.tokens == seq.rows == []
+        assert seq.dropped == [(0, "absent")]
+
+    def test_byte_order_mark_is_hashed_not_parsed(self, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        write_lines(plain, ["the 1 2", "cat 3 4"])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for _ in range(2):  # cache miss, then hit
+            table = load_vectors(marked)
+            assert_same_table(table, load_vectors(plain), same_source=False)
+            assert table.source_hash == hashlib.sha256(marked.read_bytes()).hexdigest()
 
 
     def test_word2vec_header(self, tmp_path):
@@ -98,7 +118,7 @@ class TestLoadVectors:
         write_lines(p, ["2 1", "a 5"])
         table = load_vectors(p)
         assert table.dim == 1 and table.vocab_size == 2
-        np.testing.assert_array_equal(table.get("2"), [1])
+        np.testing.assert_array_equal(table.matrix[table.index["2"]], [1])
 
     def test_two_integers_without_matching_line_are_a_vector(self, tmp_path):
         p = tmp_path / "vec.txt"
@@ -143,7 +163,7 @@ class TestVectorCache:
         write_lines(p, ["alpha 1 2 3", "beta 4 5 6", "alpha 7 8 9"])
         table = load_vectors(p)
         entry = lexicon._entry_path(table.source_hash)
-        assert os.path.basename(entry) == f"vectors-v2-{table.source_hash}"
+        assert os.path.basename(entry) == f"vectors-v3-{table.source_hash}"
         assert sorted(os.listdir(entry)) == ["matrix.npy", "tokens.txt"]
         with open(os.path.join(entry, "tokens.txt"), "rb") as fh:
             assert fh.read() == b"alpha\nbeta"
@@ -192,7 +212,7 @@ class TestVectorCache:
         write_lines(p, ["alpha 1 2 4"])
         second = load_vectors(p)
         assert first.source_hash != second.source_hash
-        np.testing.assert_array_equal(second.get("alpha"), [1, 2, 4])
+        np.testing.assert_array_equal(second.matrix[second.index["alpha"]], [1, 2, 4])
         assert len(list(vector_cache.glob("vectors-v*"))) == 2
 
     def test_parse_failure_is_not_cached(self, tmp_path, vector_cache):
@@ -321,7 +341,7 @@ class TestVectorStamp:
         assert os.stat(p).st_size == old.st_size
         second = load_vectors(p)
         assert first.source_hash != second.source_hash
-        np.testing.assert_array_equal(second.get("alpha"), [1, 2, 4])
+        np.testing.assert_array_equal(second.matrix[second.index["alpha"]], [1, 2, 4])
         assert_same_table(second, lexicon._parse_vectors(p))
 
     @pytest.mark.parametrize("damage", [
@@ -439,8 +459,8 @@ class TestVectorRoundTrip:
         save_vectors(table, path)
         reloaded = load_vectors(path)
         assert reloaded.vocab_size == table.vocab_size
-        for token in table.tokens():
-            a, b = table.get(token), reloaded.get(token)
+        for token, i in table.index.items():
+            a, b = table.matrix[i], reloaded.matrix[reloaded.index[token]]
             assert a.tobytes() == b.tobytes()
 
 
@@ -480,6 +500,17 @@ class TestLoadFrequencies:
             load_frequencies(p)
         assert str(exc.value) == f"{p}: empty token at line 2"
 
+    @pytest.mark.parametrize("token", [" ", "the ", "new york", "\xa0"])
+    def test_whitespace_in_token(self, tmp_path, token):
+        # The tokenizer splits on whitespace, so such a token never occurs in
+        # a sentence and its count would only shrink every other word's
+        # probability: " " here would give Pr(the) = 0.5, not 2/3.
+        p = tmp_path / "freq.txt"
+        write_lines(p, ["the\t10", f"{token}\t5", "cat\t5"])
+        with pytest.raises(FormatError) as exc:
+            load_frequencies(p)
+        assert str(exc.value) == f"{p}: whitespace in token at line 2: {token!r}"
+
     def test_missing_token_probability_zero(self, tmp_path):
         p = tmp_path / "freq.txt"
         write_lines(p, ["a\t1"])
@@ -510,16 +541,28 @@ class TestFrequencyFileFuzz:
         assert all(0.0 < v <= 1.0 for v in table.probabilities.values())
 
 
+def pieces(seq):
+    """The pre-filter token stream of ``seq``: its kept tokens fill the
+    positions that ``dropped`` does not name."""
+    dropped, kept = dict(seq.dropped), iter(seq.tokens)
+    return [dropped[i] if i in dropped else next(kept)
+            for i in range(len(seq) + len(dropped))]
+
+
 class TestTokenize:
+    # Some of the pieces below have a vector and some do not, so ``pieces``
+    # reads the normalized stream through both ``tokens`` and ``dropped``.
+    TABLE = VectorTable.from_mapping({"the": [1.0], "cake": [2.0], ",": [3.0]})
+
     def test_sentence_with_period(self):
-        assert tokenize("The girl eats a cake.").tokens == \
+        assert pieces(tokenize("The girl eats a cake.", self.TABLE)) == \
             ["the", "girl", "eats", "a", "cake", "."]
 
     def test_punctuation_split(self):
-        assert tokenize("Hello,world").tokens == ["hello", ",", "world"]
+        assert pieces(tokenize("Hello,world", self.TABLE)) == ["hello", ",", "world"]
 
     def test_empty_string(self):
-        seq = tokenize("")
+        seq = tokenize("", self.TABLE)
         assert seq.tokens == []
         assert seq.dropped == []
 
@@ -534,11 +577,11 @@ class TestTokenize:
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=80))
     def test_idempotent_on_joined_output(self, raw):
-        first = tokenize(raw).tokens
-        second = tokenize(" ".join(first)).tokens
+        first = pieces(tokenize(raw, self.TABLE))
+        second = pieces(tokenize(" ".join(first), self.TABLE))
         assert first == second
 
     @settings(max_examples=100, deadline=None)
     @given(st.text(max_size=80))
     def test_deterministic(self, raw):
-        assert tokenize(raw).tokens == tokenize(raw).tokens
+        assert pieces(tokenize(raw, self.TABLE)) == pieces(tokenize(raw, self.TABLE))
