@@ -14,10 +14,10 @@ import numpy as np
 
 from .errors import NoppaError
 from .lexicon import FrequencyTable
-from .encoder import sfw, word_rows
+from .encoder import token_weights, word_rows
 from .pipeline import Pipeline
 
-# sfw(pr, a) -> 2 as a grows; curves are normalized by this limit.
+# Each word's weight -> 2 as a grows; curves are normalized by this limit.
 _WEIGHT_LIMIT = 2.0
 
 
@@ -118,8 +118,8 @@ def weight_curve(groups: dict[str, list[str]], frequencies: FrequencyTable,
     a_values = sorted(set(float(a) for a in a_grid), reverse=True)
     means: dict[str, list[float]] = {}
     for name, tokens in groups.items():
-        probs = np.array([frequencies.get(t) for t in tokens], dtype=np.float64)
-        means[name] = [float(np.mean(sfw(probs, a)) / _WEIGHT_LIMIT) for a in a_values]
+        means[name] = [float(np.mean(token_weights(tokens, frequencies, a)) / _WEIGHT_LIMIT)
+                       for a in a_values]
     return WeightCurve(a_values=a_values, group_means=means)
 
 

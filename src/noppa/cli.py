@@ -199,6 +199,8 @@ def cmd_weight_curve(args) -> int:
         if "=" not in spec:
             raise NoppaError(f"--group expects NAME=tok1,tok2,... got {spec!r}")
         name, tokens = spec.split("=", 1)
+        if name in groups:
+            raise NoppaError(f"repeated --group name: {name!r}")
         groups[name] = [t for t in tokens.split(",") if t]
     analysis.check_groups(groups)  # before the --freq load
     frequencies = load_frequencies(_open_input(args.freq))
@@ -215,6 +217,7 @@ def cmd_eval(args) -> int:
     seeds = _parse_grid(args.seeds, int)
     evalkit.check_grid(a_grid, k_grid, seeds, enforce_ranges=not args.unsafe_ranges)
     evalkit.check_limits(args.train_limit, args.dev_limit, args.test_limit)
+    evalkit.check_name(args.name)
     vectors, frequencies = _load_tables(args)
     dataset = evalkit.load_dataset(args.name,
                                    _open_input(args.dataset, directory_ok=True))

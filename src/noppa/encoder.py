@@ -117,13 +117,16 @@ def attention(pv: np.ndarray) -> np.ndarray:
     return logits
 
 
-def log_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Component-wise log2(1 + (y - x)^2); non-negative and symmetric."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise NoppaError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return np.log2(1.0 + np.square(y - x))
+def log_kernel(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Component-wise log2(1 + (y - x)^2), ``x`` broadcast against ``y``;
+    non-negative and symmetric.  Written into ``out`` when it is given."""
+    try:
+        out = np.asarray(np.subtract(y, x, out=out, dtype=np.float64))
+    except ValueError as exc:
+        raise NoppaError(f"shape mismatch: {np.shape(x)} vs {np.shape(y)}") from exc
+    np.square(out, out=out)
+    out += 1.0
+    return np.log2(out, out=out)
 
 
 def sfw(pr, a):
@@ -131,8 +134,7 @@ def sfw(pr, a):
 
     ``a`` may be an array that broadcasts against ``pr``.
     """
-    if not (np.asarray(a) > 0).all():
-        raise NoppaError(f"a must be positive, got {a}")
+    check_a_k(np.ravel(a))
     return a / (np.asarray(pr, dtype=np.float64) + a / 2.0)
 
 
@@ -178,11 +180,7 @@ def _pooled_context(pv: np.ndarray, att: np.ndarray, weights: np.ndarray) -> np.
     buf = np.empty((min(block, m), n, d))
     for start in range(0, m, block):
         stop = min(start + block, m)
-        b = buf[: stop - start]
-        np.subtract(slabs[start:stop], pv, out=b)
-        np.square(b, out=b)
-        b += 1.0
-        np.log2(b, out=b)
+        b = log_kernel(pv, slabs[start:stop], out=buf[: stop - start])
         # A stack of vector-matrix products, one per contiguous coefficient
         # row: a row's bits do not depend on how many rows come with it.
         ctx += np.matmul(coef[:, None, start * n: stop * n], b.reshape(-1, d))[:, 0]
@@ -232,11 +230,11 @@ def contextual_embeddings(
     return out.reshape(*weights.shape[:-1], -1), att
 
 
-def token_weights(tokens: TokenSequence, frequencies: FrequencyTable, a) -> np.ndarray:
-    """Smooth frequency weights of ``tokens``: (n,) for a scalar ``a``, one
+def token_weights(words: list[str], frequencies: FrequencyTable, a) -> np.ndarray:
+    """Smooth frequency weights of ``words``: (n,) for a scalar ``a``, one
     row per a for an (r, 1) column.  A word with no frequency entry has
     Pr = 0 and therefore the maximal weight 2."""
-    probs = np.array([frequencies.get(t) for t in tokens.tokens], dtype=np.float64)
+    probs = np.array([frequencies.get(w) for w in words], dtype=np.float64)
     return sfw(probs, a)
 
 
@@ -252,7 +250,7 @@ def encode(
     the per-word contextual vectors.
     """
     return contextual_embeddings(tokens, vectors, config,
-                                 token_weights(tokens, frequencies, config.a))
+                                 token_weights(tokens.tokens, frequencies, config.a))
 
 
 def encode_batch(token_lists: list[TokenSequence], vectors: VectorTable,
@@ -273,7 +271,7 @@ def encode_batch(token_lists: list[TokenSequence], vectors: VectorTable,
         if frequencies is None:
             weights = np.ones(len(tokens))  # one row, the same for every a
         else:
-            weights = token_weights(tokens, frequencies, a_column)
+            weights = token_weights(tokens.tokens, frequencies, a_column)
         if raw:
             out[:, i] = pool(weights, word_rows(tokens, vectors))
         else:

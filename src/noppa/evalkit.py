@@ -13,7 +13,9 @@ all randomness drawn from one seed.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
+import io
 import logging
 import os
 import time
@@ -154,15 +156,24 @@ def load_dataset(name: str, path) -> LabeledDataset:
 
 
 def load_polarity_pair(name: str, pos_path, neg_path) -> LabeledDataset:
-    """Adapter for one-file-per-class corpora (e.g. rt-polarity.pos/.neg)."""
+    """Adapter for one-file-per-class corpora (e.g. rt-polarity.pos/.neg):
+    latin-1 text, after a leading UTF-8 byte-order mark is dropped."""
     labeled = []
     for path, label in ((pos_path, 1), (neg_path, 0)):
-        with open(path, "r", encoding="latin-1") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    labeled.append((line, label))
+        with open(path, "rb") as fh:
+            text = fh.read().removeprefix(codecs.BOM_UTF8).decode("latin-1")
+        for line in io.StringIO(text, newline=None):  # universal newlines, as open() reads
+            line = line.strip()
+            if line:
+                labeled.append((line, label))
     return LabeledDataset(name, *_hash_split(labeled), label_count=2)
+
+
+def check_name(name: str) -> None:
+    """Refuse a dataset name that would break its run-log line
+    (``EvalResult.logline``): one holding a comma or a line break."""
+    if "," in name or "".join(name.splitlines()) != name:
+        raise NoppaError(f"dataset name must hold no comma or line break, got {name!r}")
 
 
 def check_limits(*limits: int | None) -> None:
@@ -410,6 +421,7 @@ def grid_search(dataset: LabeledDataset, vectors: VectorTable,
     with the highest mean dev accuracy.
     """
     check_grid(a_grid, k_grid, seeds, enforce_ranges)
+    check_name(dataset.name)
     if variant not in VARIANTS:
         raise NoppaError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     a_values = sorted(set(float(a) for a in a_grid))

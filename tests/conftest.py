@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,17 @@ def vector_cache(tmp_path_factory, monkeypatch):
     base = tmp_path_factory.mktemp("xdg-cache")
     monkeypatch.setenv("XDG_CACHE_HOME", str(base))
     return base / "noppa"
+
+
+def pytest_collection_modifyitems(config, items):
+    """Fail each test under tests/ that leaks a file handle: the
+    ResourceWarning of a leaked file, raised when it is garbage-collected,
+    reaches pytest as an unraisable-exception warning, so both are errors.
+    The filters stay out of pyproject.toml so that they do not apply to the
+    benchmark's own self-tests."""
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(pytest.mark.filterwarnings(
+                "error::pytest.PytestUnraisableExceptionWarning"))

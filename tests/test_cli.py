@@ -801,6 +801,25 @@ class TestBadNumbers:
                         "--a-grid", "inf,1"]) == 1
         _one_line_error(capsys, "cannot parse grid 'inf,1'")
 
+    @pytest.mark.parametrize("name", ["sst,2", "two\nlines", "tail\r"],
+                             ids=["comma", "newline", "carriage-return"])
+    def test_eval_name_checked_before_loading(self, world, capsys, name):
+        tmp, _, freq, _ = world
+        log = tmp / "runs.log"
+        capsys.readouterr()
+        assert run(["eval", "--vectors", str(tmp / "nope.txt"), "--freq", freq,
+                    "--name", name, "--log", str(log), str(tmp / "x.tsv")]) == 1
+        _one_line_error(capsys, "dataset name must hold no comma or line break, "
+                                f"got {name!r}")
+        assert not log.exists()
+
+    def test_weight_curve_repeated_group_checked_before_loading(self, tmp_path,
+                                                                capsys):
+        capsys.readouterr()
+        assert run(["weight-curve", "--freq", str(tmp_path / "nope.tsv"),
+                    "--group", "stop=the", "--group", "stop=cat,dog"]) == 1
+        assert capsys.readouterr().err == "error: repeated --group name: 'stop'\n"
+
 
 def _eval(vec, freq, dataset):
     """``noppa eval --k-grid 0 --seeds 1`` run in process -> (exit code,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from noppa import (EmptySentenceError, EncoderConfig, NoppaError, FrequencyTable,
                    TokenSequence, VectorTable, attention, contextual_embeddings,
                    encode, log_kernel, pos_embed, sfw, tokenize)
+from noppa import encoder
 from noppa.encoder import token_weights
 
 from conftest import random_sentence
@@ -99,6 +100,42 @@ class TestLogKernel:
         with pytest.raises(NoppaError):
             log_kernel(np.zeros(2), np.zeros(3))
 
+    def test_broadcast_equals_stacked_pairs_bitwise(self):
+        rng = np.random.default_rng(21)
+        x, y = rng.standard_normal((5, 4)), rng.standard_normal((3, 5, 4))
+        pairs = np.stack([[log_kernel(x[i], y[k, i]) for i in range(5)]
+                          for k in range(3)])
+        assert log_kernel(x, y).tobytes() == pairs.tobytes()
+        buf = np.empty((3, 5, 4))
+        assert log_kernel(x, y, out=buf) is buf
+        assert buf.tobytes() == pairs.tobytes()
+
+    @pytest.mark.parametrize("x,y,out", [
+        ((5, 4), (3, 6, 4), None), ((5, 4), (3, 5, 4), (2, 5, 4))],
+        ids=["operands", "out"])
+    def test_shapes_that_do_not_broadcast(self, x, y, out):
+        with pytest.raises(NoppaError, match="shape mismatch"):
+            log_kernel(np.zeros(x), np.zeros(y), out=out and np.empty(out))
+
+    def test_engine_evaluates_each_block_through_log_kernel(self, tiny_world,
+                                                            monkeypatch):
+        vt, _, cfg = tiny_world
+        n, m = 15, 7
+        toks = random_sentence(np.random.default_rng(22), vt, n)
+        expected, _ = contextual_embeddings(toks, vt, cfg, np.ones(n))
+        calls = []
+
+        def recording(x, y, out=None):
+            calls.append((x.shape, y.shape))
+            return log_kernel(x, y, out=out)
+
+        monkeypatch.setattr(encoder, "log_kernel", recording)
+        monkeypatch.setattr(encoder, "_BLOCK_ELEMS", 2 * n * cfg.dim)
+        vector, _ = contextual_embeddings(toks, vt, cfg, np.ones(n))
+        # Blocks of two slabs: 2 + 2 + 2 + 1 of the m = n // 2 slabs.
+        assert calls == [((n, cfg.dim), (b, n, cfg.dim)) for b in (2, 2, 2, 1)]
+        np.testing.assert_allclose(vector, expected, rtol=0, atol=1e-12)
+
 
 class TestSmoothFrequencyWeight:
     @pytest.mark.parametrize("a", [0.001, 0.05, 0.15, 1.0, 10.0])
@@ -126,6 +163,12 @@ class TestSmoothFrequencyWeight:
         with pytest.raises(NoppaError):
             sfw(0.5, 0.0)
 
+    @pytest.mark.parametrize("a", [float("inf"), np.array([[0.05], [np.inf]])],
+                             ids=["scalar", "column"])
+    def test_rejects_infinite_a(self, a):
+        with pytest.raises(NoppaError, match="a must be finite and positive, got inf"):
+            sfw(np.array([0.1, 0.2]), a)
+
     @pytest.mark.parametrize("a", [0.0, -1.0, float("inf"), float("nan")])
     def test_config_rejects_a_that_is_not_finite_and_positive(self, a):
         with pytest.raises(NoppaError, match="a must be finite and positive"):
@@ -149,7 +192,7 @@ class TestEncode:
         p = ft.get("only")
         expected = (cfg.a / (p + cfg.a / 2)) * np.concatenate([np.zeros(3), vec])
         np.testing.assert_allclose(vector, expected, atol=1e-12)
-        np.testing.assert_allclose(token_weights(toks, ft, cfg.a),
+        np.testing.assert_allclose(token_weights(toks.tokens, ft, cfg.a),
                                    [cfg.a / (p + cfg.a / 2)])
 
     def test_output_length_is_twice_dim(self, tiny_world):
@@ -188,7 +231,7 @@ class TestEncode:
         ft = FrequencyTable.from_counts({"other": 10})
         cfg = EncoderConfig(a=0.05, dim=2)
         toks = tokenize("raretok", vt)
-        np.testing.assert_allclose(token_weights(toks, ft, cfg.a), [2.0])
+        np.testing.assert_allclose(token_weights(toks.tokens, ft, cfg.a), [2.0])
         # One word pools to its weight times concat(0, word vector).
         vector, _ = encode(toks, vt, ft, cfg)
         np.testing.assert_allclose(vector, [0.0, 0.0, 2.0, 0.0], rtol=0, atol=1e-15)

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,17 @@ class TestLoadDataset:
         assert first.train == second.train
         assert first.dev == second.dev
         assert first.test == second.test
+
+    def test_polarity_pair_drops_utf8_byte_order_mark(self, tmp_path):
+        pos, neg = tmp_path / "rt.pos", tmp_path / "rt.neg"
+        pos.write_bytes(b"\xef\xbb\xbfgood film\r\ncaf\xe9 scene\n")
+        neg.write_bytes(b"\xef\xbb\xbf\n" + "".join(
+            f"{s}\n" for s in bucket_sentences(range(10))).encode("latin-1"))
+        ds = evalkit.load_polarity_pair("rt", pos, neg)
+        rows = ds.train + ds.dev + ds.test
+        assert ("good film", 1) in rows and ("caf\xe9 scene", 1) in rows
+        assert len(rows) == 12
+        assert not any("\xef" in sentence for sentence, _ in rows)
 
     def test_unknown_label_token(self, tmp_path):
         p = tmp_path / "toy.tsv"
@@ -155,6 +167,12 @@ class TestEncodeBatch:
             assert rows[0].tobytes() == mean.tobytes()
             np.testing.assert_allclose(rows[0], per_word.mean(axis=0),
                                        rtol=0, atol=1e-12)
+
+    def test_infinite_a_refused(self, tiny_world):
+        vt, ft, cfg = tiny_world
+        toks = random_sentence(np.random.default_rng(15), vt, 5)
+        with pytest.raises(NoppaError, match="a must be finite and positive, got inf"):
+            encode_batch([toks], vt, ft, cfg, a_values=[float("inf")])
 
     def test_empty_batch(self, tiny_world):
         vt, ft, cfg = tiny_world
@@ -421,6 +439,15 @@ class TestGridSearch:
         with pytest.raises(NoppaError, match="seeds must be one or more"):
             grid_search(ds, lex.vectors, lex.frequencies, a_grid=[0.05],
                         k_grid=[0], seeds=seeds)
+
+    @pytest.mark.parametrize("name", ["sst,2", "two\nlines", "tail\r"])
+    def test_name_that_breaks_the_log_line_refused(self, tmp_path, name):
+        lex, ds = toy_grid_dataset()
+        log = tmp_path / "runs.log"
+        with pytest.raises(NoppaError, match="dataset name must hold no comma or line break"):
+            grid_search(replace(ds, name=name), lex.vectors, lex.frequencies,
+                        a_grid=[0.05], k_grid=[0], seeds=[3], log_path=log)
+        assert not log.exists()
 
     def test_unknown_variant(self):
         lex, ds = toy_grid_dataset()
