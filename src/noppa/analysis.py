@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoppaError
-from .lexicon import FrequencyTable
-from .encoder import token_weights, word_rows
+from .lexicon import FrequencyTable, VectorTable, tokenize
+from .encoder import attention, positional_rows, token_weights, word_rows
 from .pipeline import Pipeline
 
 # Each word's weight -> 2 as a grows; curves are normalized by this limit.
@@ -37,13 +37,8 @@ class WeightCurve:
     group_means: dict[str, list[float]]
 
 
-def _config_comments(pipe: Pipeline) -> list[str]:
-    source = pipe.vectors.source_hash or "unknown"
-    k = pipe.noise.k if pipe.noise is not None else 0
-    return [
-        f"# a={pipe.config.a:g} k={k} use_positions={pipe.config.use_positions}",
-        f"# vectors=sha256:{source}",
-    ]
+def _vectors_comment(vectors: VectorTable) -> str:
+    return f"# vectors=sha256:{vectors.source_hash or 'unknown'}"
 
 
 def _csv(comments: list[str], rows) -> str:
@@ -54,14 +49,17 @@ def _csv(comments: list[str], rows) -> str:
     return out.getvalue()
 
 
-def attention_report(sentence: str, pipe: Pipeline) -> str:
+def attention_report(sentence: str, vectors: VectorTable,
+                     use_positions: bool = True) -> str:
     """CSV of the n x n attention matrix with token-labeled header row/column.
 
     The matrix rows sum to 1 within 1e-6 before printing; printed values
     are rounded to 6 decimal places, which the comment header records.
     """
-    toks, _, att = pipe.embed(sentence, denoise=False)
-    comments = _config_comments(pipe) + [
+    toks = tokenize(sentence, vectors)
+    att = attention(positional_rows(word_rows(toks, vectors), use_positions))
+    comments = [
+        f"# use_positions={use_positions}", _vectors_comment(vectors),
         "# rows of the attention matrix sum to 1 within 1e-6; "
         "printed values are rounded to 6 decimal places"]
     return _csv(comments, [[""] + toks.tokens] + [
@@ -92,7 +90,10 @@ def contribution_report(sentence: str, pipe: Pipeline,
 
 
 def contribution_csv(report: ContributionReport, pipe: Pipeline) -> str:
-    return _csv(_config_comments(pipe), [["token", "score"]] + [
+    k = pipe.noise.k if pipe.noise is not None else 0
+    comments = [f"# a={pipe.config.a:g} k={k} use_positions={pipe.config.use_positions}",
+                _vectors_comment(pipe.vectors)]
+    return _csv(comments, [["token", "score"]] + [
         [token, f"{score:.6f}"] for token, score in zip(report.tokens, report.scores)])
 
 

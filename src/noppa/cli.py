@@ -53,12 +53,14 @@ class MissingInputError(NoppaError):
     """An input path that names no file (exit 2)."""
 
 
+DEFAULT_A = 0.05  # -a's default, and the a that bench encodes at
+
 # Every flag a subcommand may declare: name -> add_argument keywords.
 _FLAGS = {
     "--vectors": dict(required=True, help="word-vector text file"),
     "--freq": dict(required=True, help="token<TAB>count frequency file"),
-    "-a": dict(type=float, default=0.05,
-               help="frequency-smoothing constant (default 0.05)"),
+    "-a": dict(type=float, default=DEFAULT_A,
+               help=f"frequency-smoothing constant (default {DEFAULT_A})"),
     "-k": dict(type=int, default=0, help="number of noise directions (default 0)"),
     "--no-positions": dict(action="store_true", help="disable positional offsets"),
     "--noise-model": dict(help="noise-model file to apply"),
@@ -91,9 +93,14 @@ def _load_tables(args):
 
 
 def _build_pipeline(args) -> Pipeline:
-    # attention and contrib take k from --noise-model; embed checks -k alike
-    check_a_k([args.a], [getattr(args, "k", 0)],
+    # fit-noise's -k is the k it fits.  embed's (``directions``) applies that
+    # many of --noise-model's directions, and all of them when not given.
+    directions = getattr(args, "directions", None)
+    check_a_k([args.a], [getattr(args, "k", 0), directions or 0],
               enforce_ranges=not args.unsafe_ranges)
+    if directions and not args.noise_model:
+        raise InfeasibleConfigError(f"k={directions} but no --noise-model "
+                                    f"to take its directions from")
     vectors, frequencies = _load_tables(args)
     noise = None
     if getattr(args, "noise_model", None):
@@ -101,6 +108,8 @@ def _build_pipeline(args) -> Pipeline:
         if noise.dim != 2 * vectors.dim:  # refused before --out is opened
             raise NoppaError(f"dim mismatch: vectors dim {2 * vectors.dim} "
                              f"vs model dim {noise.dim}")
+        if directions is not None:
+            noise = noise.smallest(directions)
     config = EncoderConfig(a=args.a, dim=vectors.dim,
                            use_positions=not args.no_positions)
     return Pipeline(vectors=vectors, frequencies=frequencies,
@@ -163,8 +172,9 @@ def cmd_fit_noise(args) -> int:
 def cmd_attention(args) -> int:
     from . import analysis
 
-    pipe = _build_pipeline(args)
-    _write_out(args, [analysis.attention_report(args.sentence, pipe)])
+    vectors = load_vectors(_open_input(args.vectors))
+    _write_out(args, [analysis.attention_report(args.sentence, vectors,
+                                                not args.no_positions)])
     return EXIT_OK
 
 
@@ -242,12 +252,10 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     from . import bench
 
-    check_a_k([args.a])
     bench.check_options(args.k, args.reps, args.scale_n, args.scale_count,
                         args.seed)
     vectors, frequencies = _load_tables(args)
-    config = EncoderConfig(a=args.a, dim=vectors.dim,
-                           use_positions=not args.no_positions)
+    config = EncoderConfig(a=DEFAULT_A, dim=vectors.dim)
     sentences = _read_sentences(args.sentences) if args.sentences else []
     sys.stdout.write(bench.report(
         sentences, vectors, frequencies, config, k=args.k,
@@ -265,7 +273,10 @@ def build_parser() -> _Parser:
                       "--unsafe-ranges")
 
     p = sub.add_parser("embed", help="embed a sentences file to CSV")
-    _add_flags(p, *pipeline_flags, "-k", "--noise-model", "--out")
+    _add_flags(p, *pipeline_flags, "--noise-model", "--out")
+    p.add_argument("-k", dest="directions", metavar="K", type=int,
+                   help="apply the K directions of --noise-model with the "
+                        "smallest singular values (default: all of them)")
     p.add_argument("sentences", help="input file, one sentence per line")
     p.set_defaults(func=cmd_embed)
 
@@ -275,7 +286,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_fit_noise)
 
     p = sub.add_parser("attention", help="attention matrix CSV for one sentence")
-    _add_flags(p, *pipeline_flags, "--noise-model", "--out")
+    _add_flags(p, "--vectors", "--no-positions", "--out")
     p.add_argument("sentence")
     p.set_defaults(func=cmd_attention)
 
@@ -310,7 +321,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="quick encode timing and length-scaling probe")
-    _add_flags(p, "--vectors", "--freq", "-a", "-k", "--no-positions")
+    _add_flags(p, "--vectors", "--freq", "-k")
     p.add_argument("--seed", type=int, default=1034,
                    help="seed of the scaling probe's synthetic sentences")
     p.add_argument("--sentences", help="sentences file to time end-to-end")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InfeasibleConfigError, NoppaError
-from .lexicon import read_lines
+from .lexicon import parse_count, read_lines
 
 _HEADER_MAGIC = "NOPPA-NOISE v1"
 
@@ -50,7 +50,7 @@ class NoiseModel:
         """The model of the k smallest of these directions (the last k
         rows): the same bits as ``fit`` of the same matrix with k."""
         if not 0 <= k <= self.k:
-            raise NoppaError(f"k must be in 0..{self.k}, got {k}")
+            raise InfeasibleConfigError(f"k must be in 0..{self.k}, got {k}")
         return NoiseModel(vk=self.vk[self.k - k:],
                           singular_values=self.singular_values[self.k - k:])
 
@@ -159,12 +159,8 @@ def load(path) -> NoiseModel:
     if (len(parts) != 4 or " ".join(parts[:2]) != _HEADER_MAGIC
             or not parts[2].startswith("k=") or not parts[3].startswith("dim=")):
         raise FormatError(f"{path}: corrupted header: {header!r}")
-    try:
-        k = int(parts[2][2:])
-        dim = int(parts[3][4:])
-    except ValueError:
-        raise FormatError(f"{path}: corrupted header: {header!r}") from None
-    if k < 0 or dim < 1:
+    k, dim = parse_count(parts[2][2:]), parse_count(parts[3][4:])
+    if k is None or not dim:
         raise FormatError(f"{path}: corrupted header: {header!r}")
     body = lines[1:]
     if len(body) != k + 1:

@@ -7,8 +7,10 @@ weight rows into sentence vectors.  It sums the log-kernel over unordered
 word pairs (``_pooled_context``) instead of forming each word's contextual
 row, and pools the word vectors with ``pool``.  ``encode`` embeds one
 sentence and also returns its attention matrix (``embed``, ``fit-noise``,
-``attention``, ``contrib``); ``encode_batch`` embeds many, one weight row
-per a (``eval``, ``bench``).  Both weight words with ``token_weights``.
+``contrib``); ``encode_batch`` embeds many, one weight row per a (``eval``,
+``bench``).  Both weight words with ``token_weights``.  ``noppa attention``
+needs only ``attention`` of ``positional_rows``, the step that
+``contextual_embeddings`` takes first.
 """
 
 from __future__ import annotations
@@ -195,6 +197,13 @@ def word_rows(tokens: TokenSequence, vectors: VectorTable) -> np.ndarray:
     return vectors.matrix[tokens.rows].astype(np.float64)
 
 
+def positional_rows(raw: np.ndarray, use_positions: bool) -> np.ndarray:
+    """Word rows ``raw`` (n x dim) plus the offset of each position, or
+    ``raw`` itself with ``use_positions`` off: the rows that ``attention``
+    and the log-kernel compare."""
+    return raw + _position_matrix(*raw.shape) if use_positions else raw
+
+
 def pool(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Length-normalized weighted sum of ``rows``, one result per weight row."""
     return (weights[..., :, None] * rows).sum(axis=-2) / rows.shape[0]
@@ -220,10 +229,7 @@ def contextual_embeddings(
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape[-1:] != (len(tokens),) or weights.ndim > 2:
         raise NoppaError(f"weights of shape {weights.shape} for {len(tokens)} tokens")
-    if config.use_positions:
-        pv = raw + _position_matrix(len(tokens), config.dim)
-    else:
-        pv = raw
+    pv = positional_rows(raw, config.use_positions)
     att = attention(pv)
     rows = weights.reshape(-1, len(tokens))
     out = np.concatenate([_pooled_context(pv, att, rows), pool(rows, raw)], axis=1)
@@ -264,6 +270,7 @@ def encode_batch(token_lists: list[TokenSequence], vectors: VectorTable,
     ``raw=True`` pools the stored word vectors instead of the contextual rows.
     """
     a_values = [config.a] if a_values is None else list(a_values)
+    check_a_k(a_values)
     a_column = np.array(a_values, dtype=np.float64)[:, None]
     width = vectors.dim if raw else 2 * config.dim
     out = np.empty((len(a_values), len(token_lists), width))

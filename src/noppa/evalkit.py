@@ -28,7 +28,8 @@ from .encoder import VARIANTS, EncoderConfig, check_a_k, encode_batch
 # Unused here, but benchmark/spans.py still wraps it at this binding.
 from .encoder import contextual_embeddings  # noqa: F401
 from .errors import FormatError, NoppaError
-from .lexicon import FrequencyTable, TokenSequence, VectorTable, read_lines, tokenize
+from .lexicon import (FrequencyTable, TokenSequence, VectorTable, parse_count,
+                      read_lines, tokenize)
 
 logger = logging.getLogger(__name__)
 
@@ -112,11 +113,8 @@ def _coerce_labels(rows: list[tuple[object, str]],
                    name: str) -> list[tuple[object, int]]:
     out = []
     for sentence, token in rows:
-        try:
-            label = int(token)
-        except ValueError:
-            label = -1  # reported below as an unknown token
-        if label < 0:
+        label = parse_count(token)
+        if label is None:
             shown = token if len(token) <= 40 else token[:37] + "..."
             raise FormatError(f"{name}: unknown label token {shown!r}")
         out.append((sentence, label))

@@ -266,9 +266,11 @@ def _vector_lines(fh, sha, path):
             yield lineno, parts
 
 
-def _count(text: str) -> int | None:
-    """``text`` as a word2vec header integer, else None: ASCII digits, at
-    most 18 of them (``int`` refuses digit strings past 4300)."""
+def parse_count(text: str) -> int | None:
+    """``text`` as a non-negative integer, else None: 1 to 18 ASCII digits,
+    surrounding whitespace allowed.  Every integer of an input file is read
+    with it; ``int`` also reads signs, ``1_000`` and other scripts' digits."""
+    text = text.strip()
     return int(text) if text.isascii() and text.isdigit() and len(text) <= 18 else None
 
 
@@ -278,7 +280,7 @@ def _is_header(head) -> bool:
     components.  ``count 1`` stays a one-component vector line."""
     if len(head) < 2 or len(head[0][1]) != 2:
         return False
-    count, dim = map(_count, head[0][1])
+    count, dim = map(parse_count, head[0][1])
     return (count is not None and dim is not None and dim > 1
             and len(head[1][1]) - 1 == dim)
 
@@ -318,7 +320,7 @@ def _parse_vectors(path) -> VectorTable:
             if token not in index:
                 index[token] = len(rows)
                 rows.append(row)
-    if header is not None and _count(header[1][0]) != parsed:
+    if header is not None and parse_count(header[1][0]) != parsed:
         raise FormatError(f"{path}: word2vec header at line {header[0]} gives "
                           f"{header[1][0]} vectors, the file has {parsed}")
     if not rows:
@@ -420,11 +422,10 @@ def load_frequencies(path) -> FrequencyTable:
             raise FormatError(f"{path}: empty token at line {lineno}")
         if token.split() != [token]:
             raise FormatError(f"{path}: whitespace in token at line {lineno}: {token!r}")
-        try:
-            count = int(count_str)
-        except ValueError:
-            raise FormatError(f"{path}: unparseable count at line {lineno}: {count_str!r}") from None
-        if count <= 0:
+        count = parse_count(count_str)
+        if count is None:
+            raise FormatError(f"{path}: unparseable count at line {lineno}: {count_str!r}")
+        if count == 0:
             raise FormatError(f"{path}: non-positive count at line {lineno}")
         if token in counts:
             raise FormatError(f"{path}: duplicate token at line {lineno}: {token!r}")

@@ -1,7 +1,8 @@
 """End-to-end composition: tokenize -> encode -> optional noise removal.
 
-``embed`` embeds one sentence and also returns its attention matrix;
-``embed_lines`` yields the vector of each line of a file, one ``embed`` each.
+``embed`` embeds one sentence and also returns its attention matrix
+(``contrib``); ``embed_lines`` yields the vector of each line of a file, one
+``embed`` each (``embed``, ``fit-noise``).
 """
 
 from __future__ import annotations

@@ -29,14 +29,26 @@ def parse_csv(text):
 
 class TestAttentionReport:
     def test_single_word(self, pipe):
-        comments, rows = parse_csv(analysis.attention_report("cake", pipe))
+        comments, rows = parse_csv(analysis.attention_report("cake", pipe.vectors))
         assert rows[0] == ["", "cake"]
         assert rows[1] == ["cake", "1.000000"]
-        assert any("a=0.05" in c for c in comments)
+        assert comments[0] == "# use_positions=True"
         assert any("rounded to 6 decimal places" in c for c in comments)
 
+    @pytest.mark.parametrize("use_positions", [True, False])
+    def test_matrix_is_the_embeddings(self, pipe, use_positions):
+        # The report builds its rows with positional_rows alone; they must
+        # be the rows contextual_embeddings compares.
+        sentence = "the girl eats a cake , the girl"
+        config = EncoderConfig(a=0.05, dim=4, use_positions=use_positions)
+        _, _, att = Pipeline(pipe.vectors, pipe.frequencies, config).embed(sentence)
+        _, rows = parse_csv(analysis.attention_report(sentence, pipe.vectors,
+                                                      use_positions))
+        assert [row[1:] for row in rows[1:]] == [[f"{v:.6f}" for v in row]
+                                                 for row in att]
+
     def test_row_sums_and_labels(self, pipe):
-        text = analysis.attention_report("the girl eats a cake", pipe)
+        text = analysis.attention_report("the girl eats a cake", pipe.vectors)
         _, rows = parse_csv(text)
         header = rows[0][1:]
         assert header == ["the", "girl", "eats", "a", "cake"]
@@ -46,7 +58,7 @@ class TestAttentionReport:
             assert total == pytest.approx(1.0, abs=2e-5)  # post-rounding slack
 
     def test_comma_token_is_quoted_correctly(self, pipe):
-        text = analysis.attention_report("the , cake", pipe)
+        text = analysis.attention_report("the , cake", pipe.vectors)
         _, rows = parse_csv(text)
         assert rows[0][1:] == ["the", ",", "cake"]
 

@@ -199,6 +199,45 @@ class TestEmbed:
                     "--out", str(out), "sentences.txt"]) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("k", [0, 1, 3, 4])
+    def test_k_applies_the_smallest_directions(self, world, capsys, k):
+        # embed -k K with a k=4 model gives the bytes of embed with the model
+        # fitted at K on the same lines.
+        tmp, vec, freq, sent = world
+        tables = ["--vectors", vec, "--freq", freq]
+        for fitted in {4, k}:
+            assert run(["fit-noise", *tables, "-k", str(fitted),
+                        "--out", str(tmp / f"noise{fitted}.txt"), sent]) == 0
+        capsys.readouterr()
+        assert run(["embed", *tables, "--noise-model", str(tmp / "noise4.txt"),
+                    "-k", str(k), sent]) == 0
+        selected = capsys.readouterr()
+        assert run(["embed", *tables, "--noise-model", str(tmp / f"noise{k}.txt"),
+                    sent]) == 0
+        assert capsys.readouterr() == selected
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    @pytest.mark.parametrize("case", ["above-model-k", "no-model"])
+    def test_k_refused_before_out(self, world, capsys, case, existing):
+        tmp, vec, freq, sent = world
+        tables = ["--vectors", vec, "--freq", freq]
+        noise, out = tmp / "noise.txt", tmp / "out.csv"
+        assert run(["fit-noise", *tables, "-k", "4", "--out", str(noise), sent]) == 0
+        if existing:
+            out.write_bytes(b"kept\n")
+        argv, message = {
+            "above-model-k": (["--noise-model", str(noise), "-k", "5"],
+                              "k must be in 0..4, got 5"),
+            "no-model": (["-k", "1"], "k=1 but no --noise-model"),
+        }[case]
+        capsys.readouterr()
+        assert run(["embed", *tables, *argv, "--out", str(out), sent]) == 3
+        _one_line_error(capsys, message)
+        if existing:
+            assert out.read_bytes() == b"kept\n"
+        else:
+            assert not out.exists()
+
     def test_range_guard_exit_3(self, world):
         tmp, vec, freq, sent = world
         assert run(["embed", "--vectors", vec, "--freq", freq,
@@ -351,7 +390,7 @@ class TestBadFiles:
     def test_unwritable_out_exit_1(self, world, capsys, sub, target):
         tmp, vec, freq, sent = world
         out = tmp / "nope" / "out.txt" if target == "missing-parent" else tmp
-        assert run([sub, "--vectors", vec, "--freq", freq, "-k", "1",
+        assert run([sub, "--vectors", vec, "--freq", freq,
                     "--out", str(out), sent]) == 1
         _one_line_error(capsys, str(out))
 
@@ -383,7 +422,7 @@ class TestVectorCache:
             ["embed", *tables, "--out", str(plain), sent],
             ["embed", *tables, "--noise-model", str(noise), "--out", str(removed),
              sent],
-            ["attention", *tables, "the girl eats a cake"],
+            ["attention", "--vectors", vec, "the girl eats a cake"],
             ["contrib", *tables, "--noise-model", str(noise), "the girl eats cake"],
             ["eval", *tables, "--a-grid", "0.05", "--k-grid", "0,2", "--seeds", "1",
              str(dataset)],
@@ -509,11 +548,19 @@ class TestImports:
 
 class TestAnalysisCommands:
     def test_attention_csv(self, world, capsys):
-        _, vec, freq, _ = world
-        assert run(["attention", "--vectors", vec, "--freq", freq,
-                    "the girl eats a cake"]) == 0
+        _, vec, _, _ = world
+        assert run(["attention", "--vectors", vec, "the girl eats a cake"]) == 0
         out = capsys.readouterr().out
+        assert out.startswith("# use_positions=True\n# vectors=sha256:")
         assert "girl" in out.splitlines()[3]
+        assert run(["attention", "--vectors", vec, "--no-positions", "the"]) == 0
+        assert capsys.readouterr().out.startswith("# use_positions=False\n")
+
+    def test_attention_all_oov(self, world, capsys):
+        _, vec, _, _ = world
+        capsys.readouterr()
+        assert run(["attention", "--vectors", vec, "zzz qqq"]) == 1
+        _one_line_error(capsys, "empty after filtering")
 
     def test_contrib_csv(self, world, capsys):
         _, vec, freq, _ = world
@@ -522,7 +569,7 @@ class TestAnalysisCommands:
         out = capsys.readouterr().out
         assert "token,score" in out
 
-    @pytest.mark.parametrize("sub", ["attention", "contrib"])
+    @pytest.mark.parametrize("sub", ["contrib"])
     def test_header_k_is_the_applied_models(self, sub, world, capsys):
         tmp, vec, freq, sent = world
         tables = ["--vectors", vec, "--freq", freq]
@@ -535,7 +582,7 @@ class TestAnalysisCommands:
         assert capsys.readouterr().out.startswith("# a=0.05 k=2 use_positions=True\n")
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
-    @pytest.mark.parametrize("sub", ["embed", "contrib", "attention"])
+    @pytest.mark.parametrize("sub", ["embed", "contrib"])
     def test_noise_model_dim_mismatch_before_out(self, sub, existing, world, capsys):
         tmp, vec, freq, sent = world
         noise = tmp / "noise6.txt"
@@ -658,8 +705,8 @@ class TestEvalAndBench:
 
 # Commands that take -a, and those that take k (-k or --k-grid); eval and
 # weight-curve read a from a grid, where inf does not parse.
-_A_FLAG_COMMANDS = ("embed", "attention", "fit-noise", "contrib", "bench")
-_K_COMMANDS = ("embed", "fit-noise", "bench", "eval")
+_A_FLAG_COMMANDS = ("embed", "fit-noise", "contrib")
+_K_COMMANDS = ("embed", "fit-noise", "eval")
 # case -> (a, k, the error line's message)
 _RULE_CASES = {"infinite": ("inf", "0", "a must be finite and positive, got inf"),
                "negative": ("-1", "0", "a must be finite and positive, got -1.0"),
@@ -729,9 +776,7 @@ class TestBadNumbers:
             "embed": [*tables, "-a", a, "-k", k, "--unsafe-ranges", "--out", str(out), nope],
             "fit-noise": [*tables, "-a", a, "-k", k, "--unsafe-ranges", "--out", str(out),
                           nope],
-            "attention": [*tables, "-a", a, "--unsafe-ranges", "--out", str(out), "the"],
             "contrib": [*tables, "-a", a, "--unsafe-ranges", "--out", str(out), "the"],
-            "bench": [*tables, "-a", a, "-k", k],
             "eval": [*tables, "--a-grid", a, "--k-grid", k, "--seeds", "1",
                      "--unsafe-ranges", "--log", str(out), nope],
             "weight-curve": ["--freq", nope, "--group", "stop=the", "--a-grid", a,
@@ -771,8 +816,7 @@ class TestBadNumbers:
         (["--seed", "-1"], "seed must be >= 0, got -1"),
         (["--scale-n", "0"], "scaling_n must be >= 1, got 0"),
         (["--scale-count", "0"], "scaling_count must be >= 1, got 0"),
-        (["-a", "inf"], "a must be finite and positive, got inf"),
-    ], ids=["reps", "k", "seed", "scale-n", "scale-count", "a"])
+    ], ids=["reps", "k", "seed", "scale-n", "scale-count"])
     def test_bench_options_checked_before_loading(self, world, capsys, argv, message):
         tmp, _, freq, _ = world
         capsys.readouterr()
@@ -944,9 +988,9 @@ class TestUsage:
         "fit-noise": ({"--vectors", "--freq", "-a", "-k", "--no-positions",
                        "--unsafe-ranges", "--out"},
                       ["--seed", "--jobs", "--noise-model"]),
-        "attention": ({"--vectors", "--freq", "-a", "--no-positions",
-                       "--unsafe-ranges", "--noise-model", "--out"},
-                      ["--seed", "--jobs", "-k"]),
+        "attention": ({"--vectors", "--no-positions", "--out"},
+                      ["--seed", "--jobs", "-k", "--freq", "-a", "--unsafe-ranges",
+                       "--noise-model"]),
         "contrib": ({"--vectors", "--freq", "-a", "--no-positions",
                      "--unsafe-ranges", "--noise-model", "--out", "--pre-denoise"},
                     ["--seed", "--jobs", "-k"]),
@@ -956,9 +1000,10 @@ class TestUsage:
                   "--train-limit", "--dev-limit", "--test-limit", "--fit-on-test",
                   "--log"},
                  ["--seed", "--jobs", "-a", "-k", "--noise-model", "--out"]),
-        "bench": ({"--vectors", "--freq", "-a", "-k", "--no-positions",
-                   "--seed", "--sentences", "--reps", "--scale-n", "--scale-count"},
-                  ["--jobs", "--out", "--unsafe-ranges", "--noise-model"]),
+        "bench": ({"--vectors", "--freq", "-k", "--seed", "--sentences", "--reps",
+                   "--scale-n", "--scale-count"},
+                  ["--jobs", "--out", "--unsafe-ranges", "--noise-model", "-a",
+                   "--no-positions"]),
     }
 
     @pytest.mark.parametrize("sub", ["embed", "fit-noise", "attention",
@@ -974,7 +1019,7 @@ class TestUsage:
         valid = {
             "embed": ["--vectors", vec, "--freq", freq, sent],
             "fit-noise": ["--vectors", vec, "--freq", freq, "--out", "m.txt", sent],
-            "attention": ["--vectors", vec, "--freq", freq, "the girl"],
+            "attention": ["--vectors", vec, "the girl"],
             "contrib": ["--vectors", vec, "--freq", freq, "the girl"],
             "weight-curve": ["--freq", freq, "--group", "stop=the"],
             "eval": ["--vectors", vec, "--freq", freq, sent],
@@ -987,3 +1032,82 @@ class TestUsage:
             assert exc.value.code == 64
             err = capsys.readouterr().err
             assert re.search(rf"unrecognized arguments: {flag}\b", err), err
+
+
+class TestEveryFlagChangesOutput:
+    """Each flag of these subcommands changes their primary output: two runs
+    that differ in that flag alone give different CSV rows (``#`` comment
+    lines aside) or different noise-model files.  ``--out`` and
+    ``--unsafe-ranges`` choose only where and whether the output is written.
+    """
+
+    SUBS = ("embed", "fit-noise", "attention", "contrib", "weight-curve")
+
+    @staticmethod
+    def _inputs(world):
+        tmp, vec, freq, sent = world
+        words = [line.split()[0] for line in (tmp / "vectors.txt").read_text().splitlines()]
+        rng = np.random.default_rng(56)
+        vec2 = tmp / "vectors2.txt"
+        vec2.write_text("".join(f"{w} {' '.join(f'{v:.6f}' for v in rng.standard_normal(5))}\n"
+                                for w in words))
+        freq2 = tmp / "freq2.txt"
+        freq2.write_text("".join(f"{w}\t{(i + 1) * 37}\n"
+                                 for i, w in enumerate(reversed(words))))
+        noise = tmp / "noise4.txt"
+        assert run(["fit-noise", "--vectors", vec, "--freq", freq, "-k", "4",
+                    "--out", str(noise), sent]) == 0
+        return str(vec2), str(freq2), str(noise)
+
+    @staticmethod
+    def _pairs(world, vec2, freq2, noise):
+        """sub -> (base argv, {flag: (extra argv A, extra argv B)}).  A later
+        value of an option replaces the base's, so A and B differ in one flag."""
+        tmp, vec, freq, sent = world
+        tables = ["--vectors", vec, "--freq", freq]
+        model = ["--noise-model", noise]
+        common = {"--vectors": ([], ["--vectors", vec2]),
+                  "--freq": ([], ["--freq", freq2]),
+                  "-a": ([], ["-a", "0.1"]),
+                  "--no-positions": ([], ["--no-positions"])}
+        return {
+            "embed": (tables + [sent], {
+                **common,
+                "-k": (model + ["-k", "1"], model + ["-k", "3"]),
+                "--noise-model": ([], model)}),
+            "fit-noise": (tables + ["-k", "2", "--out", str(tmp / "fitted.txt"), sent], {
+                **common, "-k": ([], ["-k", "3"])}),
+            "attention": (["--vectors", vec, "the girl eats a cake"], {
+                f: common[f] for f in ("--vectors", "--no-positions")}),
+            "contrib": (tables + ["the girl eats a cake"], {
+                **common,
+                "--noise-model": ([], model),
+                "--pre-denoise": (model, model + ["--pre-denoise"])}),
+            "weight-curve": (["--freq", freq, "--group", "stop=the,a"], {
+                "--freq": common["--freq"],
+                "--group": ([], ["--group", "content=girl,cake"]),
+                "--a-grid": ([], ["--a-grid", "0.5,0.02"])}),
+        }
+
+    @staticmethod
+    def _output(sub, argv, world, capsys):
+        capsys.readouterr()
+        assert run([sub, *argv]) == 0
+        if sub == "fit-noise":
+            return (world[0] / "fitted.txt").read_text()
+        return [line for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("#")]
+
+    def test_every_flag_is_covered(self, world):
+        pairs = self._pairs(world, "v2", "f2", "n")
+        for sub in self.SUBS:
+            assert set(pairs[sub][1]) == (TestUsage.FLAGS[sub][0]
+                                          - {"--out", "--unsafe-ranges"}), sub
+
+    @pytest.mark.parametrize("sub", SUBS)
+    def test_each_flag_changes_the_output(self, world, capsys, sub):
+        base, flags = self._pairs(world, *self._inputs(world))[sub]
+        same = [flag for flag, (a, b) in flags.items()
+                if self._output(sub, base + a, world, capsys)
+                == self._output(sub, base + b, world, capsys)]
+        assert same == [], f"{sub}: output does not depend on {same}"

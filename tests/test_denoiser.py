@@ -225,6 +225,15 @@ class TestSaveLoad:
         with pytest.raises(FormatError, match="header"):
             denoiser.load(path)
 
+    @pytest.mark.parametrize("fields", ["k=\u0661 dim=2", "k=+1 dim=2", "k=1 dim=0_2"],
+                             ids=["arabic-indic", "plus", "underscore"])
+    def test_header_integers_are_ascii_digits(self, tmp_path, fields):
+        # int() reads each of these as a valid k=1 dim=2 header.
+        path = tmp_path / "noise.txt"
+        path.write_text(f"NOPPA-NOISE v1 {fields}\n0 1\n0\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="corrupted header"):
+            denoiser.load(path)
+
     def test_row_count_mismatch(self, tmp_path):
         model = denoiser.fit(np.eye(4), 2)
         path = tmp_path / "noise.txt"

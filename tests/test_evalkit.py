@@ -67,6 +67,16 @@ class TestLoadDataset:
         with pytest.raises(FormatError, match="unknown label token"):
             load_dataset("toy", p)
 
+    @pytest.mark.parametrize("label", ["\u0661", "1_0", "+1"],
+                             ids=["arabic-indic", "underscore", "plus"])
+    def test_label_is_ascii_digits(self, tmp_path, label):
+        # int() reads the Arabic-Indic digit one as 1.
+        p = tmp_path / "toy.tsv"
+        p.write_text("".join(f"{i % 2}\tgirl eats cake {i}\n" for i in range(20))
+                     + f"{label}\tbad film\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"unknown label token '{label}'")):
+            load_dataset("toy", p)
+
     def test_inferred_label_count_equal_to_row_count(self, tmp_path):
         d = tmp_path / "ds"
         d.mkdir()
@@ -155,6 +165,18 @@ class TestEncodeBatch:
                 expected = oracles.sentence_embedding(stored, probs, a,
                                                       use_positions)
                 np.testing.assert_allclose(row, expected, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("a", [float("inf"), -1.0])
+    @pytest.mark.parametrize("case", ["no-frequencies", "no-sentences"])
+    def test_refuses_a_that_is_not_finite_and_positive(self, tiny_world, case, a):
+        # Without frequencies no weight is computed, and without sentences
+        # nothing is encoded: the a rule must not depend on either.
+        vt, ft, cfg = tiny_world
+        toks = random_sentence(np.random.default_rng(13), vt, 2)
+        token_lists, freqs = {"no-frequencies": ([toks], None),
+                              "no-sentences": ([], ft)}[case]
+        with pytest.raises(NoppaError, match="a must be finite and positive"):
+            encode_batch(token_lists, vt, freqs, cfg, a_values=[0.05, a])
 
     def test_no_frequencies_gives_plain_mean(self, tiny_world):
         vt, ft, cfg = tiny_world

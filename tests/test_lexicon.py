@@ -479,6 +479,21 @@ class TestLoadFrequencies:
         ft = load_frequencies(p)
         assert ft.get("x") == 1.0
 
+    @pytest.mark.parametrize("count", ["1_000", "\u0663", "+5", "-5", "5.0", "1" * 19],
+                             ids=["underscore", "arabic-indic", "plus", "minus", "float",
+                                  "19-digits"])
+    def test_count_is_ascii_digits(self, tmp_path, count):
+        # int() reads 1_000 as 1000 and the Arabic-Indic digit three as 3.
+        p = tmp_path / "freq.txt"
+        write_lines(p, ["the\t10", f"a\t{count}"])
+        with pytest.raises(FormatError, match="unparseable count at line 2"):
+            load_frequencies(p)
+
+    def test_count_may_have_surrounding_spaces(self, tmp_path):
+        p = tmp_path / "freq.txt"
+        write_lines(p, ["the\t 10 ", "a\t30"])
+        assert load_frequencies(p).get("the") == 0.25
+
     def test_nonpositive_count(self, tmp_path):
         p = tmp_path / "freq.txt"
         write_lines(p, ["a\t0"])
