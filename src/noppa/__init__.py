@@ -9,7 +9,7 @@ fitted SVD noise model removes the weakest singular directions.
 
 from . import denoiser
 from .encoder import (EncoderConfig, attention, contextual_embeddings, encode,
-                      log_kernel, pos_embed, sfw)
+                      log_kernel, sfw)
 from .errors import (EmptySentenceError, FormatError, InfeasibleConfigError,
                      NoppaError)
 from .lexicon import (FrequencyTable, TokenSequence, VectorTable,
@@ -19,7 +19,7 @@ from .pipeline import Pipeline
 __all__ = [
     "analysis", "denoiser", "evalkit", "synth",
     "EncoderConfig", "attention", "contextual_embeddings",
-    "encode", "log_kernel", "pos_embed", "sfw",
+    "encode", "log_kernel", "sfw",
     "EmptySentenceError", "FormatError", "InfeasibleConfigError", "NoppaError",
     "FrequencyTable", "TokenSequence", "VectorTable",
     "load_frequencies", "load_vectors", "save_vectors", "tokenize",

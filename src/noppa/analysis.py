@@ -66,15 +66,14 @@ def attention_report(sentence: str, vectors: VectorTable,
         [token] + [f"{v:.6f}" for v in row] for token, row in zip(toks.tokens, att)])
 
 
-def contribution_report(sentence: str, pipe: Pipeline,
-                        denoised: bool = True) -> ContributionReport:
+def contribution_report(sentence: str, pipe: Pipeline) -> ContributionReport:
     """Per-word contribution scores for one sentence.
 
     Each word vector is tiled twice to match the sentence-embedding length,
-    then compared by cosine similarity against the (by default denoised)
-    sentence embedding.
+    then compared by cosine similarity against the sentence embedding, which
+    has the noise model's directions removed if ``pipe`` has one.
     """
-    toks, sent, _ = pipe.embed(sentence, denoise=denoised)
+    toks, sent = pipe.embed(sentence)
     sent_norm = float(np.linalg.norm(sent))
     if sent_norm == 0.0:
         raise NoppaError("degenerate embedding")

@@ -182,19 +182,19 @@ def cmd_contrib(args) -> int:
     from . import analysis
 
     pipe = _build_pipeline(args)
-    report = analysis.contribution_report(args.sentence, pipe,
-                                          denoised=not args.pre_denoise)
+    report = analysis.contribution_report(args.sentence, pipe)
     _write_out(args, [analysis.contribution_csv(report, pipe)])
     return EXIT_OK
 
 
 def _parse_grid(text: str, cast):
-    """One or more finite comma-separated numbers."""
+    """One or more finite comma-separated numbers, each within float range."""
     try:
         values = [cast(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        values = []
-    if not values or not all(map(math.isfinite, values)):
+        ok = bool(values) and all(map(math.isfinite, values))
+    except (ValueError, OverflowError):  # OverflowError: an int past float range
+        ok = False
+    if not ok:
         raise NoppaError(f"cannot parse grid {text!r}")
     return values
 
@@ -293,8 +293,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("contrib", help="per-word contribution scores CSV")
     _add_flags(p, *pipeline_flags, "--noise-model", "--out")
     p.add_argument("sentence")
-    p.add_argument("--pre-denoise", action="store_true",
-                   help="score against the embedding before noise removal")
     p.set_defaults(func=cmd_contrib)
 
     p = sub.add_parser("weight-curve", help="weight-vs-a curves CSV")

@@ -6,10 +6,10 @@ All heavy loops accumulate in float64; word-vector storage stays float32.
 weight rows into sentence vectors.  It sums the log-kernel over unordered
 word pairs (``_pooled_context``) instead of forming each word's contextual
 row, and pools the word vectors with ``pool``.  ``encode`` embeds one
-sentence and also returns its attention matrix (``embed``, ``fit-noise``,
-``contrib``); ``encode_batch`` embeds many, one weight row per a (``eval``,
-``bench``).  Both weight words with ``token_weights``.  ``noppa attention``
-needs only ``attention`` of ``positional_rows``, the step that
+sentence (``embed``, ``fit-noise``, ``contrib``); ``encode_batch`` embeds
+many, one weight row per a (``eval``, ``bench``).  Both weight words with
+``token_weights``.  Only ``attention`` returns the attention matrix:
+``noppa attention`` runs it on ``positional_rows``, the step that
 ``contextual_embeddings`` takes first.
 """
 
@@ -75,23 +75,13 @@ def check_a_k(a_values=(), k_values=(), enforce_ranges: bool = False) -> None:
         raise NoppaError(f"k must be >= 0, got {min(k_values)}")
 
 
-def pos_embed(i: int, dim: int) -> np.ndarray:
-    """Sinusoidal position embedding for zero-based position ``i``.
-
-    Even components are sin(i / 10000^(e/dim)) and the following odd
-    component is the matching cosine; an odd ``dim`` leaves the final
-    unpaired component on the sine branch.
-    """
-    if i < 0:
-        raise NoppaError(f"position must be >= 0, got {i}")
-    if dim < 1:
-        raise NoppaError(f"dim must be >= 1, got {dim}")
-    return _position_matrix(i + 1, dim)[i].copy()
-
-
 @lru_cache(maxsize=128)
 def _position_matrix(n: int, dim: int) -> np.ndarray:
-    """Rows 0..n-1 of the position embedding, cached read-only."""
+    """Rows 0..n-1 of the sinusoidal position embedding, cached read-only.
+
+    Component 2m of row i is sin(i / 10000^(2m/dim)) and component 2m+1 the
+    matching cosine; an odd ``dim`` leaves the last component on the sine.
+    """
     even = np.arange(0, dim, 2, dtype=np.float64)
     inv_freq = np.power(10000.0, -even / dim)  # (ceil(dim/2),)
     angles = np.arange(n, dtype=np.float64)[:, None] * inv_freq[None, :]
@@ -214,14 +204,13 @@ def contextual_embeddings(
     vectors: VectorTable,
     config: EncoderConfig,
     weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Sentence vectors of ``tokens``, one per row of ``weights``.
 
     Each is the length-normalized weighted sum over words i of
     concat(ctx_i, raw_i): ctx_i = sum_j A_ij K(pv_i, pv_j), and raw_i is
     the word vector without the positional offset.  ``weights`` is (n,)
     or (r, n); the vectors are (2*dim,) or (r, 2*dim).
-    Returns (vectors, n x n attention matrix).
     """
     raw = word_rows(tokens, vectors)
     if vectors.dim != config.dim:
@@ -233,7 +222,7 @@ def contextual_embeddings(
     att = attention(pv)
     rows = weights.reshape(-1, len(tokens))
     out = np.concatenate([_pooled_context(pv, att, rows), pool(rows, raw)], axis=1)
-    return out.reshape(*weights.shape[:-1], -1), att
+    return out.reshape(*weights.shape[:-1], -1)
 
 
 def token_weights(words: list[str], frequencies: FrequencyTable, a) -> np.ndarray:
@@ -249,12 +238,9 @@ def encode(
     vectors: VectorTable,
     frequencies: FrequencyTable,
     config: EncoderConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Embed one tokenized sentence: (2*dim vector, n x n attention matrix).
-
-    The vector is the length-normalized, smooth-frequency-weighted sum of
-    the per-word contextual vectors.
-    """
+) -> np.ndarray:
+    """Embed one tokenized sentence as a 2*dim vector: the length-normalized,
+    smooth-frequency-weighted sum of the per-word contextual vectors."""
     return contextual_embeddings(tokens, vectors, config,
                                  token_weights(tokens.tokens, frequencies, config.a))
 
@@ -263,7 +249,7 @@ def encode_batch(token_lists: list[TokenSequence], vectors: VectorTable,
                  frequencies: FrequencyTable | None, config: EncoderConfig,
                  a_values: list[float] | None = None,
                  raw: bool = False) -> dict[float, np.ndarray]:
-    """a -> matrix whose row i is ``encode(token_lists[i], ...)[0]`` at a.
+    """a -> matrix whose row i is ``encode(token_lists[i], ...)`` at a.
 
     One contextual pass per sentence serves every a in ``a_values``
     (default ``[config.a]``).  ``frequencies=None`` weights every word 1;
@@ -282,5 +268,5 @@ def encode_batch(token_lists: list[TokenSequence], vectors: VectorTable,
         if raw:
             out[:, i] = pool(weights, word_rows(tokens, vectors))
         else:
-            out[:, i] = contextual_embeddings(tokens, vectors, config, weights)[0]
+            out[:, i] = contextual_embeddings(tokens, vectors, config, weights)
     return dict(zip(a_values, out))

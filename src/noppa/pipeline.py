@@ -1,8 +1,7 @@
 """End-to-end composition: tokenize -> encode -> optional noise removal.
 
-``embed`` embeds one sentence and also returns its attention matrix
-(``contrib``); ``embed_lines`` yields the vector of each line of a file, one
-``embed`` each (``embed``, ``fit-noise``).
+``embed`` embeds one sentence (``contrib``); ``embed_lines`` yields the
+vector of each line of a file, one ``embed`` each (``embed``, ``fit-noise``).
 """
 
 from __future__ import annotations
@@ -28,15 +27,14 @@ class Pipeline:
     config: EncoderConfig
     noise: NoiseModel | None = None
 
-    def embed(self, raw: str,
-              denoise: bool = True) -> tuple[TokenSequence, np.ndarray, np.ndarray]:
-        """Tokenize and embed one sentence: (tokens, vector, attention
-        matrix).  The noise model, if present, is applied when ``denoise``."""
+    def embed(self, raw: str) -> tuple[TokenSequence, np.ndarray]:
+        """Tokenize and embed one sentence: (tokens, vector), with the noise
+        model's directions removed if there is one."""
         toks = tokenize(raw, self.vectors)
-        vector, att = encode(toks, self.vectors, self.frequencies, self.config)
-        if denoise and self.noise is not None:
+        vector = encode(toks, self.vectors, self.frequencies, self.config)
+        if self.noise is not None:
             vector = denoiser.remove(vector[None], self.noise)[0]
-        return toks, vector, att
+        return toks, vector
 
     def embed_lines(self, lines: list[str]) -> Iterator[np.ndarray | None]:
         """Yield ``embed(line)``'s vector for each line in order, or None for

@@ -19,7 +19,8 @@ from scipy.linalg import subspace_angles
 
 from noppa import (EncoderConfig, FrequencyTable, TokenSequence, VectorTable,
                    attention, contextual_embeddings, denoiser, encode,
-                   evalkit, log_kernel, pos_embed, sfw, synth, tokenize)
+                   evalkit, log_kernel, sfw, synth, tokenize)
+from noppa.encoder import positional_rows
 
 import oracles
 
@@ -103,7 +104,7 @@ class TestCriterion1Properties:
                                             if p_num else {"pad": 10000})
             a = float(rng.uniform(0.01, 0.5))
             cfg = EncoderConfig(a=a, dim=d)
-            vector, _ = encode(tokenize("tok", vt), vt, ft, cfg)
+            vector = encode(tokenize("tok", vt), vt, ft, cfg)
             p = ft.get("tok")
             expected = (a / (p + a / 2)) * np.concatenate(
                 [np.zeros(d), vec.astype(np.float64)])
@@ -122,9 +123,10 @@ class TestCriterion1Properties:
             n = int(rng.integers(1, 8))
             toks = random_tokens(rng, vt, n)
             # Weights n * e_i make pooled row i word i's own row.
-            per_word, att = contextual_embeddings(toks, vt, cfg, n * np.eye(n))
+            per_word = contextual_embeddings(toks, vt, cfg, n * np.eye(n))
             raw = vt.matrix[[vt.index[t] for t in toks.tokens]].astype(np.float64)
-            pv = raw + np.stack([pos_embed(i, cfg.dim) for i in range(n)])
+            pv = positional_rows(raw, True)
+            att = attention(pv)
             for i in range(n):
                 pairwise = np.stack([
                     np.concatenate([raw[i], log_kernel(pv[i], pv[j])])
@@ -143,11 +145,11 @@ class TestCriterion1Properties:
             cfg = EncoderConfig(a=0.08, dim=vt.dim, use_positions=False)
             n = int(rng.integers(1, 11))
             toks = random_tokens(rng, vt, n)
-            base, _ = encode(toks, vt, ft, cfg)
+            base = encode(toks, vt, ft, cfg)
             perm = rng.permutation(n)
             shuffled = TokenSequence(tokens=[toks.tokens[i] for i in perm],
                                      rows=[toks.rows[i] for i in perm])
-            other, _ = encode(shuffled, vt, ft, cfg)
+            other = encode(shuffled, vt, ft, cfg)
             worst = max(worst, float(np.abs(base - other).max()))
         check("C1 permutation invariance, positions off (1e-10)", worst <= 1e-10,
               f"worst deviation {worst:.2e}")
@@ -206,7 +208,7 @@ class TestCriterion2Oracle:
             toks = random_tokens(rng, vt, n)
             a = float(rng.uniform(0.01, 0.3))
             cfg = EncoderConfig(a=a, dim=d)
-            vector, _ = encode(toks, vt, ft, cfg)
+            vector = encode(toks, vt, ft, cfg)
             stored = vt.matrix[[vt.index[t] for t in toks.tokens]].astype(float).tolist()
             probs = [ft.get(t) for t in toks.tokens]
             expected = oracles.sentence_embedding(stored, probs, a)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from noppa import (EncoderConfig, FrequencyTable, NoppaError, Pipeline,
-                   VectorTable, analysis, denoiser)
+                   VectorTable, analysis, denoiser, encoder)
+from noppa.encoder import attention, positional_rows, word_rows
 
 
 @pytest.fixture
@@ -36,12 +37,20 @@ class TestAttentionReport:
         assert any("rounded to 6 decimal places" in c for c in comments)
 
     @pytest.mark.parametrize("use_positions", [True, False])
-    def test_matrix_is_the_embeddings(self, pipe, use_positions):
-        # The report builds its rows with positional_rows alone; they must
-        # be the rows contextual_embeddings compares.
+    def test_matrix_is_the_embeddings(self, pipe, use_positions, monkeypatch):
+        # The report builds its rows with positional_rows alone; its matrix
+        # must be the one that embedding the sentence computes.
         sentence = "the girl eats a cake , the girl"
         config = EncoderConfig(a=0.05, dim=4, use_positions=use_positions)
-        _, _, att = Pipeline(pipe.vectors, pipe.frequencies, config).embed(sentence)
+        computed = []
+
+        def recording(pv):
+            computed.append(attention(pv))
+            return computed[-1]
+
+        monkeypatch.setattr(encoder, "attention", recording)
+        Pipeline(pipe.vectors, pipe.frequencies, config).embed(sentence)
+        [att] = computed
         _, rows = parse_csv(analysis.attention_report(sentence, pipe.vectors,
                                                       use_positions))
         assert [row[1:] for row in rows[1:]] == [[f"{v:.6f}" for v in row]
@@ -63,7 +72,8 @@ class TestAttentionReport:
         assert rows[0][1:] == ["the", ",", "cake"]
 
     def test_unrounded_rows_sum_to_one(self, pipe):
-        _, _, att = pipe.embed("the girl eats a cake .")
+        toks, _ = pipe.embed("the girl eats a cake .")
+        att = attention(positional_rows(word_rows(toks, pipe.vectors), True))
         np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-6)
 
 
@@ -83,7 +93,7 @@ class TestContributionReport:
         # exercised here through the inert-by-scaling weight constant
         report = analysis.contribution_report("the girl eats a cake", pipe)
         vecs = {t: pipe.vectors.matrix[pipe.vectors.index[t]] for t in report.tokens}
-        _, vector, _ = pipe.embed("the girl eats a cake")
+        _, vector = pipe.embed("the girl eats a cake")
         scaled = vector * 7.5
         for token, score in zip(report.tokens, report.scores):
             w = np.asarray(vecs[token], dtype=np.float64)
@@ -91,16 +101,15 @@ class TestContributionReport:
             manual = tiled @ scaled / (np.linalg.norm(tiled) * np.linalg.norm(scaled))
             assert manual == pytest.approx(score, abs=1e-9)
 
-    def test_post_denoise_default_and_flag(self, pipe):
+    def test_noise_model_changes_scores(self, pipe):
         sentences = ["the girl eats a cake", "a girl eats the cake .",
                      "the cake , the girl", "eats a cake the girl",
                      "the girl , a cake ."]
-        X = np.stack([pipe.embed(s, denoise=False)[1] for s in sentences])
+        X = np.stack([pipe.embed(s)[1] for s in sentences])
         noisy = Pipeline(vectors=pipe.vectors, frequencies=pipe.frequencies,
                          config=pipe.config, noise=denoiser.fit(X, 2))
         post = analysis.contribution_report("the girl eats a cake", noisy)
-        pre = analysis.contribution_report("the girl eats a cake", noisy,
-                                           denoised=False)
+        pre = analysis.contribution_report("the girl eats a cake", pipe)
         assert post.scores != pre.scores
 
     def test_degenerate_embedding(self, pipe):

@@ -545,6 +545,17 @@ class TestImports:
         assert proc.stderr.splitlines()[-1] == (
             "AttributeError: module 'noppa' has no attribute 'nothing'")
 
+    def test_star_import_resolves_every_exported_name(self):
+        # A name left in __all__ after its definition is gone fails the
+        # star import; the lazy submodules load through it too.
+        proc = _python("-c", "import noppa\n"
+                       "from noppa import *\n"
+                       "names = noppa.__all__\n"
+                       "print(len(names) > 0, [n for n in names\n"
+                       "                       if globals().get(n) is not getattr(noppa, n)])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True []\n"
+
 
 class TestAnalysisCommands:
     def test_attention_csv(self, world, capsys):
@@ -725,12 +736,15 @@ class TestBadNumbers:
         (["--seeds", ",,"], "cannot parse grid ',,'"),
         (["--a-grid", "0.05,nan"], "cannot parse grid '0.05,nan'"),
         (["--unsafe-ranges", "--a-grid", "inf"], "cannot parse grid 'inf'"),
+        (["--unsafe-ranges", "--k-grid", "0,1" + "0" * 400],
+         f"cannot parse grid '0,1{'0' * 400}'"),
+        (["--seeds", "1" + "0" * 400], f"cannot parse grid '1{'0' * 400}'"),
         (["--seeds", "-1"], "seeds must be one or more integers >= 0, got [-1]"),
         (["--train-limit", "-150"], "train limit must be >= 0, got -150"),
         (["--test-limit", "-1"], "test limit must be >= 0, got -1"),
     ], ids=["empty-k-grid", "empty-a-grid", "empty-seeds", "commas-seeds",
-            "nan-a", "inf-a-unsafe", "negative-seed", "negative-train-limit",
-            "negative-test-limit"])
+            "nan-a", "inf-a-unsafe", "huge-k-unsafe", "huge-seed", "negative-seed",
+            "negative-train-limit", "negative-test-limit"])
     def test_eval(self, world, tmp_path, capsys, argv, message):
         _, vec, freq, _ = world
         ds = tmp_path / "toy.tsv"
@@ -992,8 +1006,8 @@ class TestUsage:
                       ["--seed", "--jobs", "-k", "--freq", "-a", "--unsafe-ranges",
                        "--noise-model"]),
         "contrib": ({"--vectors", "--freq", "-a", "--no-positions",
-                     "--unsafe-ranges", "--noise-model", "--out", "--pre-denoise"},
-                    ["--seed", "--jobs", "-k"]),
+                     "--unsafe-ranges", "--noise-model", "--out"},
+                    ["--seed", "--jobs", "-k", "--pre-denoise"]),
         "weight-curve": ({"--freq", "--out", "--group", "--a-grid"}, []),
         "eval": ({"--vectors", "--freq", "--no-positions", "--unsafe-ranges",
                   "--name", "--variant", "--a-grid", "--k-grid", "--seeds",
@@ -1081,8 +1095,7 @@ class TestEveryFlagChangesOutput:
                 f: common[f] for f in ("--vectors", "--no-positions")}),
             "contrib": (tables + ["the girl eats a cake"], {
                 **common,
-                "--noise-model": ([], model),
-                "--pre-denoise": (model, model + ["--pre-denoise"])}),
+                "--noise-model": ([], model)}),
             "weight-curve": (["--freq", freq, "--group", "stop=the,a"], {
                 "--freq": common["--freq"],
                 "--group": ([], ["--group", "content=girl,cake"]),

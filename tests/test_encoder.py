@@ -8,39 +8,45 @@ from hypothesis import strategies as st
 
 from noppa import (EmptySentenceError, EncoderConfig, NoppaError, FrequencyTable,
                    TokenSequence, VectorTable, attention, contextual_embeddings,
-                   encode, log_kernel, pos_embed, sfw, tokenize)
+                   encode, log_kernel, sfw, tokenize)
 from noppa import encoder
-from noppa.encoder import token_weights
+from noppa.encoder import positional_rows, token_weights, word_rows
 
 from conftest import random_sentence
 import oracles
 
 
-class TestPosEmbed:
+def offsets(n, dim):
+    """The position offsets ``positional_rows`` adds to n rows of width dim."""
+    return positional_rows(np.zeros((n, dim)), True)
+
+
+class TestPositionalRows:
     def test_position_zero(self):
-        np.testing.assert_allclose(pos_embed(0, 4), [0, 1, 0, 1])
+        np.testing.assert_allclose(offsets(1, 4), [[0, 1, 0, 1]])
 
     def test_position_one_components(self):
-        pe = pos_embed(1, 4)
+        pe = offsets(2, 4)[1]
         assert pe[0] == pytest.approx(math.sin(1), abs=1e-12)      # ~0.841471
         assert pe[2] == pytest.approx(math.sin(0.01), abs=1e-12)   # ~0.0099998
         assert pe[1] == pytest.approx(math.cos(1), abs=1e-12)
         assert pe[3] == pytest.approx(math.cos(0.01), abs=1e-12)
 
     def test_odd_dim_final_component_is_sine(self):
-        pe = pos_embed(3, 5)
+        pe = offsets(4, 5)[3]
         assert pe[4] == pytest.approx(math.sin(3 / 10000 ** (4 / 5)), abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 200), st.integers(1, 64))
-    def test_matches_scalar_reference(self, i, dim):
-        np.testing.assert_allclose(pos_embed(i, dim),
-                                   oracles.position_embedding(i, dim),
+    @given(st.integers(1, 200), st.integers(1, 64))
+    def test_matches_scalar_reference(self, n, dim):
+        np.testing.assert_allclose(offsets(n, dim),
+                                   [oracles.position_embedding(i, dim) for i in range(n)],
                                    atol=1e-12)
 
-    def test_rejects_negative_position(self):
-        with pytest.raises(NoppaError):
-            pos_embed(-1, 4)
+    def test_adds_offsets_to_the_rows_or_returns_them(self):
+        raw = np.random.default_rng(0).standard_normal((6, 5))
+        assert positional_rows(raw, True).tobytes() == (raw + offsets(6, 5)).tobytes()
+        assert positional_rows(raw, False) is raw
 
 
 class TestAttention:
@@ -122,7 +128,7 @@ class TestLogKernel:
         vt, _, cfg = tiny_world
         n, m = 15, 7
         toks = random_sentence(np.random.default_rng(22), vt, n)
-        expected, _ = contextual_embeddings(toks, vt, cfg, np.ones(n))
+        expected = contextual_embeddings(toks, vt, cfg, np.ones(n))
         calls = []
 
         def recording(x, y, out=None):
@@ -131,7 +137,7 @@ class TestLogKernel:
 
         monkeypatch.setattr(encoder, "log_kernel", recording)
         monkeypatch.setattr(encoder, "_BLOCK_ELEMS", 2 * n * cfg.dim)
-        vector, _ = contextual_embeddings(toks, vt, cfg, np.ones(n))
+        vector = contextual_embeddings(toks, vt, cfg, np.ones(n))
         # Blocks of two slabs: 2 + 2 + 2 + 1 of the m = n // 2 slabs.
         assert calls == [((n, cfg.dim), (b, n, cfg.dim)) for b in (2, 2, 2, 1)]
         np.testing.assert_allclose(vector, expected, rtol=0, atol=1e-12)
@@ -188,7 +194,7 @@ class TestEncode:
         vec = [0.5, -1.5, 2.0]
         vt, ft, cfg = single_token_world(0.2, 0.05, vec)
         toks = tokenize("only", vt)
-        vector, _ = encode(toks, vt, ft, cfg)
+        vector = encode(toks, vt, ft, cfg)
         p = ft.get("only")
         expected = (cfg.a / (p + cfg.a / 2)) * np.concatenate([np.zeros(3), vec])
         np.testing.assert_allclose(vector, expected, atol=1e-12)
@@ -199,7 +205,7 @@ class TestEncode:
         vt, ft, cfg = tiny_world
         rng = np.random.default_rng(1)
         for n in (1, 2, 7, 30):
-            vector, _ = encode(random_sentence(rng, vt, n), vt, ft, cfg)
+            vector = encode(random_sentence(rng, vt, n), vt, ft, cfg)
             assert vector.shape == (2 * cfg.dim,)
             assert np.isfinite(vector).all()
 
@@ -209,7 +215,7 @@ class TestEncode:
         ft = FrequencyTable.from_counts({"aa": 3, "bb": 1})
         cfg = EncoderConfig(a=0.08, dim=2)
         toks = tokenize("aa bb", vt)
-        vector, _ = encode(toks, vt, ft, cfg)
+        vector = encode(toks, vt, ft, cfg)
         # float32 storage rounds the inputs; feed the oracle the same values
         stored = vt.matrix[[vt.index[t] for t in toks.tokens]].astype(float).tolist()
         expected = oracles.sentence_embedding(stored, [0.75, 0.25], 0.08)
@@ -233,24 +239,16 @@ class TestEncode:
         toks = tokenize("raretok", vt)
         np.testing.assert_allclose(token_weights(toks.tokens, ft, cfg.a), [2.0])
         # One word pools to its weight times concat(0, word vector).
-        vector, _ = encode(toks, vt, ft, cfg)
+        vector = encode(toks, vt, ft, cfg)
         np.testing.assert_allclose(vector, [0.0, 0.0, 2.0, 0.0], rtol=0, atol=1e-15)
 
     def test_deterministic_bitwise(self, tiny_world):
         vt, ft, cfg = tiny_world
         rng = np.random.default_rng(3)
         toks = random_sentence(rng, vt, 12)
-        first, _ = encode(toks, vt, ft, cfg)
-        second, _ = encode(toks, vt, ft, cfg)
+        first = encode(toks, vt, ft, cfg)
+        second = encode(toks, vt, ft, cfg)
         assert first.tobytes() == second.tobytes()
-
-    def test_returns_attention_matrix(self, tiny_world):
-        vt, ft, cfg = tiny_world
-        rng = np.random.default_rng(4)
-        toks = random_sentence(rng, vt, 5)
-        _, att = encode(toks, vt, ft, cfg)
-        assert att.shape == (5, 5)
-        np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-9)
 
 
 def one_hot_weights(n):
@@ -263,7 +261,7 @@ class TestContextualStructure:
         vt, ft, cfg = tiny_world
         rng = np.random.default_rng(5)
         toks = random_sentence(rng, vt, 6)
-        per_word, _ = contextual_embeddings(toks, vt, cfg, one_hot_weights(6))
+        per_word = contextual_embeddings(toks, vt, cfg, one_hot_weights(6))
         raw = vt.matrix[[vt.index[t] for t in toks.tokens]].astype(np.float64)
         np.testing.assert_array_equal(per_word[:, cfg.dim:], raw)
 
@@ -273,9 +271,10 @@ class TestContextualStructure:
         vt, ft, cfg = tiny_world
         rng = np.random.default_rng(6)
         toks = random_sentence(rng, vt, 8)
-        per_word, att = contextual_embeddings(toks, vt, cfg, one_hot_weights(8))
+        per_word = contextual_embeddings(toks, vt, cfg, one_hot_weights(8))
         raw = vt.matrix[[vt.index[t] for t in toks.tokens]].astype(np.float64)
-        pv = raw + np.stack([pos_embed(i, cfg.dim) for i in range(len(toks))])
+        pv = raw + offsets(len(toks), cfg.dim)
+        att = attention(pv)
         for i in range(len(toks)):
             pairwise = np.stack([
                 np.concatenate([raw[i], log_kernel(pv[i], pv[j])])
@@ -289,12 +288,12 @@ class TestContextualStructure:
         cfg = EncoderConfig(a=0.05, dim=vt.dim, use_positions=False)
         rng = np.random.default_rng(7)
         toks = random_sentence(rng, vt, 10)
-        base, _ = encode(toks, vt, ft, cfg)
+        base = encode(toks, vt, ft, cfg)
         for _ in range(5):
             perm = list(rng.permutation(len(toks)))
             shuffled = TokenSequence(tokens=[toks.tokens[i] for i in perm],
                                      rows=[toks.rows[i] for i in perm])
-            np.testing.assert_allclose(encode(shuffled, vt, ft, cfg)[0],
+            np.testing.assert_allclose(encode(shuffled, vt, ft, cfg),
                                        base, atol=1e-10)
 
     def test_positions_break_permutation_invariance(self, tiny_world):
@@ -302,13 +301,13 @@ class TestContextualStructure:
         rng = np.random.default_rng(8)
         toks = random_sentence(rng, vt, 10)
         assert len(set(toks.tokens)) > 1
-        base, _ = encode(toks, vt, ft, cfg)
+        base = encode(toks, vt, ft, cfg)
         changed = False
         for _ in range(10):
             perm = list(rng.permutation(len(toks)))
             shuffled = TokenSequence(tokens=[toks.tokens[i] for i in perm],
                                      rows=[toks.rows[i] for i in perm])
-            if not np.allclose(encode(shuffled, vt, ft, cfg)[0], base,
+            if not np.allclose(encode(shuffled, vt, ft, cfg), base,
                                atol=1e-10):
                 changed = True
                 break
@@ -318,9 +317,9 @@ class TestContextualStructure:
         vt, ft, cfg = tiny_world
         rng = np.random.default_rng(9)
         toks = random_sentence(rng, vt, 9)
-        per_word, _ = contextual_embeddings(toks, vt, cfg, one_hot_weights(9))
+        per_word = contextual_embeddings(toks, vt, cfg, one_hot_weights(9))
         raw = vt.matrix[[vt.index[t] for t in toks.tokens]].astype(np.float64)
-        pv = raw + np.stack([pos_embed(i, cfg.dim) for i in range(len(toks))])
+        pv = raw + offsets(len(toks), cfg.dim)
         kernels = np.stack([[log_kernel(pv[i], pv[j]) for j in range(len(toks))]
                             for i in range(len(toks))])
         ctx = per_word[:, :cfg.dim]
@@ -338,8 +337,8 @@ class TestPairKernel:
             {f"w{i}": rng.standard_normal(dim).astype(np.float32) for i in range(40)})
         toks = random_sentence(rng, vt, n)
         cfg = EncoderConfig(a=0.05, dim=dim, use_positions=use_positions)
-        raw = vt.matrix[[vt.index[t] for t in toks.tokens]].astype(np.float64)
-        pv = raw + np.stack([pos_embed(i, dim) for i in range(n)]) if use_positions else raw
+        raw = word_rows(toks, vt)
+        pv = positional_rows(raw, use_positions)
         return vt, toks, cfg, raw, pv, rng
 
     @pytest.mark.parametrize("rows", [1, 4])
@@ -348,8 +347,8 @@ class TestPairKernel:
     def test_matches_per_word_engine(self, n, use_positions, rows):
         vt, toks, cfg, raw, pv, rng = self.world(n, 24, use_positions, n + 7 * rows)
         weights = rng.uniform(0.1, 2.0, (rows, n))
-        got, att = contextual_embeddings(toks, vt, cfg, weights)
-        per_word = np.concatenate([oracles.contextual_part(pv, att), raw], axis=1)
+        got = contextual_embeddings(toks, vt, cfg, weights)
+        per_word = np.concatenate([oracles.contextual_part(pv, attention(pv)), raw], axis=1)
         assert got.shape == (rows, 2 * cfg.dim)
         for row, w in zip(got, weights):
             expected = oracles.pool(w, per_word)
@@ -361,7 +360,7 @@ class TestPairKernel:
     @pytest.mark.parametrize("use_positions", [True, False])
     def test_single_word_context_is_exactly_zero(self, use_positions):
         vt, toks, cfg, raw, _, _ = self.world(1, 5, use_positions, 3)
-        got, _ = contextual_embeddings(toks, vt, cfg, np.array([1.7]))
+        got = contextual_embeddings(toks, vt, cfg, np.array([1.7]))
         assert got.shape == (10,)
         assert (got[:5] == 0.0).all()
         assert got[5:].tobytes() == (1.7 * raw[0]).tobytes()
@@ -370,9 +369,9 @@ class TestPairKernel:
     def test_row_bits_independent_of_row_count(self, n):
         vt, toks, cfg, _, _, rng = self.world(n, 50, True, n)
         weights = rng.uniform(0.1, 2.0, (4, n))
-        together, _ = contextual_embeddings(toks, vt, cfg, weights)
+        together = contextual_embeddings(toks, vt, cfg, weights)
         for row, w in zip(together, weights):
-            alone, _ = contextual_embeddings(toks, vt, cfg, w)
+            alone = contextual_embeddings(toks, vt, cfg, w)
             assert row.tobytes() == alone.tobytes()
 
     def test_weights_must_match_length(self, tiny_world):
@@ -419,10 +418,9 @@ class TestDecimalOracle:
             ids = rng.integers(0, len(words), n)
             toks = tokenize(" ".join(f"w{i}" for i in ids), vt)
             weights = rng.uniform(0.05, 2.0, n)
-            got, _ = contextual_embeddings(
+            got = contextual_embeddings(
                 toks, vt, EncoderConfig(a=0.05, dim=d, use_positions=use_positions), weights)
-            positions = (np.stack([pos_embed(i, d) for i in range(n)]) if use_positions
-                         else np.zeros((n, d)))
+            positions = offsets(n, d) if use_positions else np.zeros((n, d))
             want = oracles.decimal_sentence_embedding(
                 words[ids].astype(np.float64), positions, weights)
             scale = max(abs(v) for v in want)
@@ -444,11 +442,10 @@ class TestDecimalOracle:
         word = (scale * rng.uniform(0.5, 1.5, d)
                 * rng.choice([-1.0, 1.0], d)).astype(np.float32)
         vt = VectorTable.from_mapping({"w": word})
-        got, _ = contextual_embeddings(tokenize("w w", vt), vt,
-                                       EncoderConfig(a=0.05, dim=d), np.ones(2))
+        got = contextual_embeddings(tokenize("w w", vt), vt,
+                                    EncoderConfig(a=0.05, dim=d), np.ones(2))
         want = oracles.decimal_sentence_embedding(
-            np.stack([word, word]).astype(np.float64),
-            np.stack([pos_embed(i, d) for i in range(2)]), np.ones(2))
+            np.stack([word, word]).astype(np.float64), offsets(2, d), np.ones(2))
         assert all(v > 0 for v in want[:d])
         lost = int((got[:d] == 0.0).sum())
         assert lost == d if all_lost else 0 < lost < d

@@ -141,7 +141,7 @@ class TestEncodeBatch:
             assert batch[a].shape == (len(lengths), 2 * vt.dim)
             per_a = EncoderConfig(a=a, dim=vt.dim, use_positions=use_positions)
             for row, toks in zip(batch[a], token_lists):
-                expected = encode(toks, vt, ft, per_a)[0]
+                expected = encode(toks, vt, ft, per_a)
                 assert row.tobytes() == expected.tobytes()
 
     def test_default_a_is_config_a(self, tiny_world):
@@ -149,7 +149,7 @@ class TestEncodeBatch:
         toks = random_sentence(np.random.default_rng(11), vt, 4)
         batch = encode_batch([toks], vt, ft, cfg)
         assert list(batch) == [cfg.a]
-        assert batch[cfg.a][0].tobytes() == encode(toks, vt, ft, cfg)[0].tobytes()
+        assert batch[cfg.a][0].tobytes() == encode(toks, vt, ft, cfg).tobytes()
 
     @pytest.mark.parametrize("use_positions", [True, False])
     def test_matches_scalar_oracle(self, tiny_world, use_positions):
@@ -183,8 +183,8 @@ class TestEncodeBatch:
         n = 20
         toks = random_sentence(np.random.default_rng(13), vt, n)
         batch = encode_batch([toks], vt, None, cfg, [0.01, 0.1])
-        mean, _ = contextual_embeddings(toks, vt, cfg, np.ones(n))
-        per_word, _ = contextual_embeddings(toks, vt, cfg, n * np.eye(n))
+        mean = contextual_embeddings(toks, vt, cfg, np.ones(n))
+        per_word = contextual_embeddings(toks, vt, cfg, n * np.eye(n))
         for rows in batch.values():
             assert rows[0].tobytes() == mean.tobytes()
             np.testing.assert_allclose(rows[0], per_word.mean(axis=0),
@@ -249,8 +249,8 @@ class TestEmbedSplit:
         cfg_u = EncoderConfig(a=0.05, dim=vt.dim)
         mats, _ = evalkit.embed_split([sentence], "ce_avg", cfg_u, vt, ft)
         from noppa import contextual_embeddings, tokenize
-        per_word, _ = contextual_embeddings(tokenize(sentence, vt), vt, cfg_u,
-                                            6 * np.eye(6))
+        per_word = contextual_embeddings(tokenize(sentence, vt), vt, cfg_u,
+                                         6 * np.eye(6))
         np.testing.assert_allclose(mats[0.05][0], per_word.mean(axis=0), atol=1e-12)
 
     def test_pairs_and_mixed_arity(self, tiny_world):

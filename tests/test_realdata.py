@@ -15,6 +15,7 @@ import warnings
 import pytest
 
 from noppa import EncoderConfig, Pipeline, analysis, evalkit, load_frequencies, load_vectors
+from noppa.encoder import attention, positional_rows, word_rows
 
 DATA_DIR = os.environ.get("NOPPA_DATA_DIR", "")
 
@@ -102,15 +103,15 @@ class TestQualitativeAnalyses:
     def test_bleeding_attends_to_injured_top3(self, pipe):
         sentence = ("David got injured during rough hiking in the mountain , "
                     "so he is bleeding right now")
-        toks, _, att = pipe.embed(sentence, denoise=False)
+        toks, _ = pipe.embed(sentence)
+        att = attention(positional_rows(word_rows(toks, pipe.vectors), True))
         row = att[toks.tokens.index("bleeding")]
         ranked = sorted(zip(toks.tokens, row), key=lambda p: -p[1])
         top3 = [t for t, _ in ranked[:3]]
         assert "injured" in top3, f"top3 was {ranked[:3]}"
 
     def test_contribution_ordering_stopwords_low(self, pipe):
-        report = analysis.contribution_report("the girl eats a cake", pipe,
-                                              denoised=False)
+        report = analysis.contribution_report("the girl eats a cake", pipe)
         scores = dict(zip(report.tokens, report.scores))
         assert scores["girl"] > scores["the"]
         assert scores["cake"] > scores["a"]
