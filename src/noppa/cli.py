@@ -5,8 +5,9 @@ bench (a quick encode timing and the length-scaling probe; the end-to-end
 timing of the other subcommands is ``benchmark/run.py``).  Exit codes: 0
 ok, 1 runtime error, 2 missing input, 3 infeasible configuration, 64
 usage.  Each subcommand accepts only the flags it reads.
-Randomness enters only through ``bench --seed`` and ``eval --seeds``;
-identical flags produce byte-identical primary output files.
+Randomness enters only through ``eval --seeds`` (``bench``'s probe draws
+its sentences with a fixed seed); identical flags produce byte-identical
+primary output files.
 """
 
 from __future__ import annotations
@@ -156,14 +157,18 @@ def cmd_embed(args) -> int:
 
 
 def cmd_fit_noise(args) -> int:
-    if not args.out:
-        raise NoppaError("--out is required for fit-noise")
     pipe = _build_pipeline(args)
     rows = [row for row in pipe.embed_lines(_read_sentences(args.sentences))
             if row is not None]
     if len(rows) < max(args.k, 1):
         raise InfeasibleConfigError(
             f"k={args.k} but only {len(rows)} sentences encoded successfully")
+    n, d = len(rows), 2 * pipe.config.dim
+    if args.k and n < d:  # rank <= N: the smallest D - N singular values are 0
+        print(f"warning: N={n} sentences in D={d} dimensions: at least "
+              f"{min(args.k, d - n)} of the {args.k} noise directions lie in "
+              f"the data's null space and are not determined by the data",
+              file=sys.stderr)
     model = denoiser.fit(rows, args.k)
     denoiser.save(model, args.out)
     return EXIT_OK
@@ -252,15 +257,12 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     from . import bench
 
-    bench.check_options(args.k, args.reps, args.scale_n, args.scale_count,
-                        args.seed)
+    bench.check_options(args.scale_n)
     vectors, frequencies = _load_tables(args)
     config = EncoderConfig(a=DEFAULT_A, dim=vectors.dim)
     sentences = _read_sentences(args.sentences) if args.sentences else []
-    sys.stdout.write(bench.report(
-        sentences, vectors, frequencies, config, k=args.k,
-        repetitions=args.reps, scaling_n=args.scale_n,
-        scaling_count=args.scale_count, seed=args.seed))
+    sys.stdout.write(bench.report(sentences, vectors, frequencies, config,
+                                  scaling_n=args.scale_n))
     return EXIT_OK
 
 
@@ -281,7 +283,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("fit-noise", help="fit and save a noise model")
-    _add_flags(p, *pipeline_flags, "-k", "--out")
+    _add_flags(p, *pipeline_flags, "-k")
+    p.add_argument("--out", required=True, help="noise-model file to write")
     p.add_argument("sentences", help="training sentences, one per line")
     p.set_defaults(func=cmd_fit_noise)
 
@@ -319,14 +322,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="quick encode timing and length-scaling probe")
-    _add_flags(p, "--vectors", "--freq", "-k")
-    p.add_argument("--seed", type=int, default=1034,
-                   help="seed of the scaling probe's synthetic sentences")
+    _add_flags(p, "--vectors", "--freq")
     p.add_argument("--sentences", help="sentences file to time end-to-end")
-    p.add_argument("--reps", type=int, default=3)
     p.add_argument("--scale-n", type=int,
                    help="run the length-scaling probe at n and 2n")
-    p.add_argument("--scale-count", type=int, default=1000)
     p.set_defaults(func=cmd_bench)
 
     return parser

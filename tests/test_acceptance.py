@@ -310,8 +310,7 @@ class TestCriterion5Scaling:
         proc = subprocess.run(
             [sys.executable, "-m", "noppa.cli", "bench",
              "--vectors", str(vec_path), "--freq", str(freq_path),
-             "-k", "10", "--reps", "3", "--scale-n", "64",
-             "--scale-count", "1000", "--seed", "5001"],
+             "--scale-n", "64"],
             capture_output=True, text=True, env=env, timeout=280)
         assert proc.returncode == 0, proc.stderr
         match = re.search(r"encode .*?\(ratio ([0-9.]+)\); denoise .*?"

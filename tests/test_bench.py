@@ -1,9 +1,8 @@
 import re
 
 import numpy as np
-import pytest
 
-from noppa import EncoderConfig, NoppaError
+from noppa import EncoderConfig
 from noppa import bench
 from noppa.bench import report
 
@@ -11,14 +10,14 @@ from conftest import random_frequencies, random_table
 
 
 class TestReport:
-    def test_report_lines(self):
+    def test_report_lines(self, monkeypatch):
         rng = np.random.default_rng(200)
         vt = random_table(rng, vocab_size=50, dim=8)
         ft = random_frequencies(rng, vt)
         vocab = list(vt.index)
         sentences = [" ".join(vocab[i:i + 5]) for i in range(0, 40, 5)] + ["zzz"]
-        text = report(sentences, vt, ft, EncoderConfig(a=0.05, dim=8), k=2,
-                      repetitions=3, scaling_n=4, scaling_count=20)
+        monkeypatch.setattr(bench, "PROBE_COUNT", 20)
+        text = report(sentences, vt, ft, EncoderConfig(a=0.05, dim=8), scaling_n=4)
         lines = text.splitlines()
         assert text.endswith("\n") and len(lines) == 4
         assert re.fullmatch(r"machine: .* \| python \S+ \| numpy \S+ \| cpu .*",
@@ -43,8 +42,8 @@ class TestReport:
             return encode_batch(token_lists, *args, **kwargs)
 
         monkeypatch.setattr(bench, "encode_batch", recording)
-        report([], vt, ft, EncoderConfig(a=0.05, dim=4), k=1, repetitions=3,
-               scaling_n=4, scaling_count=5)
+        monkeypatch.setattr(bench, "PROBE_COUNT", 5)
+        report([], vt, ft, EncoderConfig(a=0.05, dim=4), scaling_n=4)
         assert lengths == [[]] * 3 + [[4], [8]] * 3
 
     def test_probe_chunks_take_turns(self, monkeypatch):
@@ -60,21 +59,7 @@ class TestReport:
             return encode_batch(token_lists, *args, **kwargs)
 
         monkeypatch.setattr(bench, "encode_batch", recording)
-        report([], vt, ft, EncoderConfig(a=0.05, dim=4), k=1, repetitions=3,
-               scaling_n=4, scaling_count=120)
+        monkeypatch.setattr(bench, "PROBE_COUNT", 120)
+        report([], vt, ft, EncoderConfig(a=0.05, dim=4), scaling_n=4)
         assert calls == [([], 0)] * 3 + [([4], 50), ([8], 50), ([4], 50), ([8], 50),
                                           ([4], 20), ([8], 20)] * 3
-
-    def test_repetition_floor(self):
-        rng = np.random.default_rng(201)
-        vt = random_table(rng, vocab_size=10, dim=4)
-        ft = random_frequencies(rng, vt)
-        with pytest.raises(NoppaError, match="repetitions"):
-            report([], vt, ft, EncoderConfig(a=0.05, dim=4), repetitions=2)
-
-    def test_negative_k(self):
-        rng = np.random.default_rng(202)
-        vt = random_table(rng, vocab_size=10, dim=4)
-        ft = random_frequencies(rng, vt)
-        with pytest.raises(NoppaError, match="k must be >= 0"):
-            report([], vt, ft, EncoderConfig(a=0.05, dim=4), k=-1)

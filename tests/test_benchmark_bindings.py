@@ -2,7 +2,9 @@
 ``benchmark/spans.py``; a binding that no longer resolves silently drops its
 spans from every benchmark run, so each one is checked here.  A recorder
 that can no longer read a call's arguments fails every traced run, so a
-tiny ``embed`` and ``eval`` also run under the tracer."""
+tiny ``embed`` and ``eval`` also run under the tracer.  Every command line
+that ``benchmark/run.py`` builds must parse with the current CLI, so its
+workloads are driven here with a spawn that records them."""
 
 import importlib
 import importlib.util
@@ -84,3 +86,39 @@ def test_traced_run_records_every_count(tables, command):
     assert [sp for sp in spans if sp[4] is None] == []
     contextual = [sp[4] for sp in spans if sp[0] == "encoder.contextual_embeddings"]
     assert contextual and all(c["d"] == DIM for c in contextual)
+
+
+def test_every_benchmark_command_parses(tmp_path, monkeypatch):
+    from noppa.cli import build_parser, main
+
+    monkeypatch.syspath_prepend(str(BENCHMARK))
+    run = importlib.import_module("run")
+    monkeypatch.setattr(run, "CACHE", str(tmp_path))
+    recorded = []
+
+    def spawn(kind, argv, stdout_path, stderr_path, trace=None):
+        recorded.append((kind, argv[0]))
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the benchmark's {kind} command does not parse: {argv}")
+        for path in (stdout_path, stderr_path):
+            open(path, "w").close()
+        # fit-noise runs, so that the embed inputs are complete; every
+        # other command is reported as failed without running.
+        code = main(argv) if argv[0] == "fit-noise" else 1
+        return run.ChildRun(kind=kind, cpus=[0], started=0.0, wall_s=0.0, cpu_s=0.0,
+                            peak_rss_mb=0.0, returncode=code, load_before=0.0,
+                            load_after=0.0)
+
+    monkeypatch.setattr(run, "spawn", spawn)
+    for name in run.WORKLOADS:
+        workload = run.make_workload(name, "tiny")
+        workload.prepare(1)
+        workload.setup()
+        workload.command()
+    # embed-long reuses the inputs (and the noise model) of embed-sst2.
+    assert recorded == [("fit-noise", "fit-noise"), ("setup", "embed"),
+                        ("command", "embed"), ("setup", "embed"),
+                        ("command", "embed"), ("setup", "embed"),
+                        ("command", "eval")]
