@@ -1,6 +1,7 @@
 import re
 
 import numpy as np
+import pytest
 
 from noppa import EncoderConfig
 from noppa import bench
@@ -63,3 +64,40 @@ class TestReport:
         report([], vt, ft, EncoderConfig(a=0.05, dim=4), scaling_n=4)
         assert calls == [([], 0)] * 3 + [([4], 50), ([8], 50), ([4], 50), ([8], 50),
                                           ([4], 20), ([8], 20)] * 3
+
+    def test_probe_draws_the_same_sentences_every_run(self, monkeypatch):
+        # The probe's seed is fixed, so two reports time the same sentences.
+        rng = np.random.default_rng(205)
+        vt = random_table(rng, vocab_size=20, dim=4)
+        ft = random_frequencies(rng, vt)
+        drawn, encode_batch = [], bench.encode_batch
+
+        def recording(token_lists, *args, **kwargs):
+            drawn.append([t.rows for t in token_lists])
+            return encode_batch(token_lists, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "encode_batch", recording)
+        monkeypatch.setattr(bench, "PROBE_COUNT", 5)
+        for _ in range(2):
+            report([], vt, ft, EncoderConfig(a=0.05, dim=4), scaling_n=4)
+        first, second = drawn[:len(drawn) // 2], drawn[len(drawn) // 2:]
+        assert first == second and any(first)
+
+    @pytest.mark.parametrize("count,dim,k", [(5, 4, 5), (20, 4, 8), (20, 8, 10)],
+                             ids=["sentences-cap", "dimensions-cap", "probe-k"])
+    def test_probe_noise_directions(self, monkeypatch, count, dim, k):
+        # The probe removes PROBE_K directions, or as many as the short
+        # side's (count x 2 dim) matrix has when that is fewer.
+        rng = np.random.default_rng(206)
+        vt = random_table(rng, vocab_size=20, dim=dim)
+        ft = random_frequencies(rng, vt)
+        fitted, fit = [], bench.denoiser.fit
+
+        def recording(embeddings, k):
+            fitted.append(k)
+            return fit(embeddings, k)
+
+        monkeypatch.setattr(bench.denoiser, "fit", recording)
+        monkeypatch.setattr(bench, "PROBE_COUNT", count)
+        report([], vt, ft, EncoderConfig(a=0.05, dim=dim), scaling_n=3)
+        assert fitted == [k]

@@ -284,6 +284,38 @@ class TestFitNoise:
                     "--out", str(out), sent]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("n,k,zeros", [(9, 3, 1), (3, 0, None), (10, 2, None)],
+                             ids=["fewer-than-k-open", "k-zero", "n-equals-d"])
+    def test_null_space_warning(self, world, capsys, n, k, zeros):
+        # The warning names min(k, D - N) directions, and only fits with
+        # k >= 1 and N < D = 10 give one.
+        tmp, vec, freq, _ = world
+        lines = (tmp / "sentences.txt").read_text().splitlines(True)
+        first = tmp / "first.txt"
+        first.write_text("".join(lines[:n]))
+        out = tmp / "noise.txt"
+        capsys.readouterr()
+        assert run(["fit-noise", "--vectors", vec, "--freq", freq, "-k", str(k),
+                    "--out", str(out), str(first)]) == 0
+        err = capsys.readouterr().err
+        if zeros is None:
+            assert err == ""
+        else:
+            assert err == (
+                f"warning: N={n} sentences in D=10 dimensions: at least {zeros} of "
+                f"the {k} noise directions lie in the data's null space and are "
+                f"not determined by the data\n")
+            assert np.sum(denoiser.load(out).singular_values < 1e-6) >= zeros
+
+    def test_help_names_the_model_file(self, capsys):
+        # --out is required: the help must not offer stdout as its default.
+        with pytest.raises(SystemExit) as exc:
+            run(["fit-noise", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^  --out OUT +noise-model file to write$", out, re.M), out
+        assert "stdout" not in out
+
     def test_infeasible_k_exit_3(self, world):
         tmp, vec, freq, sent = world
         out = tmp / "noise.txt"
