@@ -158,18 +158,11 @@ def cmd_embed(args) -> int:
 
 def cmd_fit_noise(args) -> int:
     pipe = _build_pipeline(args)
-    rows = [row for row in pipe.embed_lines(_read_sentences(args.sentences))
-            if row is not None]
-    if len(rows) < max(args.k, 1):
-        raise InfeasibleConfigError(
-            f"k={args.k} but only {len(rows)} sentences encoded successfully")
-    n, d = len(rows), 2 * pipe.config.dim
-    if args.k and n < d:  # rank <= N: the smallest D - N singular values are 0
-        print(f"warning: N={n} sentences in D={d} dimensions: at least "
-              f"{min(args.k, d - n)} of the {args.k} noise directions lie in "
-              f"the data's null space and are not determined by the data",
-              file=sys.stderr)
-    model = denoiser.fit(rows, args.k)
+    rows = pipe.embed_lines(line for _, line in read_lines(_open_input(args.sentences)))
+    model = denoiser.fit((row for row in rows if row is not None), args.k)
+    if model.undetermined:  # retained directions of singular value 0 to rounding
+        print(f"warning: {model.undetermined} of the {model.k} noise directions "
+              f"are not determined by the data", file=sys.stderr)
     denoiser.save(model, args.out)
     return EXIT_OK
 

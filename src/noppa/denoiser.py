@@ -1,12 +1,12 @@
 """SVD noise model: fit on training embeddings, subtract the projection
 onto the k right singular directions with the smallest singular values.
 
-The right singular vectors are obtained from the eigendecomposition of the
-D x D Gram matrix X^T X (D = 2*dim), which is much cheaper than a full SVD
-when the row count is large.  No mean-centering is applied before the
-decomposition; that is a deliberate literal reading of the fitting recipe.
-The k smallest directions of one decomposition are nested: ``smallest(k)``
-of a fit is bit for bit the fit with k directions, so ``eval`` fits once per a.
+``fit`` streams its rows into the triangular factor R of a QR
+decomposition; the SVD of R gives the rows' own singular values and right
+vectors, in memory flat in the row count.  No mean-centering is applied
+before the decomposition; that is a deliberate literal reading of the
+fitting recipe.  The k smallest directions of one decomposition are nested:
+``smallest(k)`` of a fit is bit for bit the fit with k, so ``eval`` fits once per a.
 
 ``remove_matrix`` subtracts the projection from a whole matrix in one
 product (``eval``).  ``remove`` does it one row at a time, so each row has
@@ -16,7 +16,9 @@ rows changes the last bits of the result.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,7 @@ from .errors import FormatError, InfeasibleConfigError, NoppaError
 from .lexicon import parse_count, read_lines
 
 _HEADER_MAGIC = "NOPPA-NOISE v1"
+_CHUNK_ROWS = 512  # rows per QR step of ``fit``: below the final SVD's memory at D=600
 
 
 @dataclass(frozen=True)
@@ -33,10 +36,13 @@ class NoiseModel:
 
     Rows are ordered by descending singular value; ``singular_values``
     lists the matching k smallest singular values of the fitted matrix.
+    ``undetermined`` counts the last rows whose singular value is at or below
+    the fit's rank tolerance: LAPACK, not the data, picks them (0 if loaded).
     """
 
     vk: np.ndarray  # (k, dim) float64, read-only
     singular_values: np.ndarray  # (k,) float64, descending
+    undetermined: int = 0
 
     @property
     def k(self) -> int:
@@ -52,47 +58,45 @@ class NoiseModel:
         if not 0 <= k <= self.k:
             raise InfeasibleConfigError(f"k must be in 0..{self.k}, got {k}")
         return NoiseModel(vk=self.vk[self.k - k:],
-                          singular_values=self.singular_values[self.k - k:])
+                          singular_values=self.singular_values[self.k - k:],
+                          undetermined=min(k, self.undetermined))
 
 
 def _fix_signs(rows: np.ndarray) -> np.ndarray:
     """Scale each row so its largest-magnitude component is positive."""
     lead = np.abs(rows).argmax(axis=1)
-    signs = np.sign(rows[np.arange(rows.shape[0]), lead])
-    signs[signs == 0] = 1.0
-    return rows * signs[:, None]
+    return rows * np.sign(rows[np.arange(rows.shape[0]), lead])[:, None]
 
 
-def fit(embeddings: np.ndarray, k: int) -> NoiseModel:
-    """Fit the noise model on an (l x D) matrix of raw sentence embeddings.
-
-    Keeps the right singular directions paired with the k smallest
-    singular values.  Ties at the k-boundary break by the deterministic
-    ordering of the symmetric eigensolver (arbitrary but stable).
-    """
+def fit(rows: Iterable, k: int) -> NoiseModel:
+    """Fit the noise model on raw sentence embeddings: any iterable of
+    D-length rows, such as an (l x D) matrix or a generator.  Keeps the
+    right singular directions of the k smallest singular values (l < D pads
+    the spectrum with zeros; ties break by LAPACK's fixed ordering).  The
+    rank tolerance is max(l, D) * eps * sigma_max."""
     if k < 0:
         raise NoppaError(f"k must be >= 0, got {k}")
-    X = np.asarray(embeddings, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise NoppaError("embeddings must be a non-empty 2-d matrix")
-    if not np.isfinite(X).all():
-        raise NoppaError("non-finite values in embedding matrix")
-    l, dim = X.shape
+    r, l, it = None, 0, iter(rows)
+    while chunk := list(itertools.islice(it, _CHUNK_ROWS)):
+        X = np.array(chunk, dtype=np.float64)
+        if X.ndim != 2 or X.size == 0:
+            raise NoppaError("embeddings must be rows of one non-zero length")
+        if not np.isfinite(X).all():
+            raise NoppaError("non-finite values in embedding matrix")
+        r = np.linalg.qr(X if r is None else np.vstack([r, X]), mode="r")
+        l += X.shape[0]
+    if r is None:
+        raise InfeasibleConfigError(f"k={k} but no sentences to fit")
+    dim = r.shape[1]
     if k > min(l, dim):
-        raise InfeasibleConfigError(
-            f"k={k} exceeds min(sentences, dim) = {min(l, dim)}")
-    if k == 0:
-        vk = np.zeros((0, dim), dtype=np.float64)
-        vk.setflags(write=False)
-        return NoiseModel(vk=vk, singular_values=np.zeros(0))
-    gram = X.T @ X
-    eigvals, eigvecs = np.linalg.eigh(gram)  # ascending
-    svals = np.sqrt(np.clip(eigvals, 0.0, None))
-    # k smallest, ordered descending to match an overall descending spectrum
-    order = np.arange(k - 1, -1, -1)
-    vk = _fix_signs(eigvecs[:, order].T.copy())
+        raise InfeasibleConfigError(f"k={k} exceeds min(sentences, dim) = {min(l, dim)}")
+    _, svals, vt = np.linalg.svd(r, full_matrices=True)
+    svals = np.concatenate([svals, np.zeros(dim - svals.size)])
+    tol = max(l, dim) * np.finfo(np.float64).eps * svals[0]
+    vk = _fix_signs(vt[dim - k:])
     vk.setflags(write=False)
-    return NoiseModel(vk=vk, singular_values=svals[order].copy())
+    return NoiseModel(vk=vk, singular_values=svals[dim - k:].copy(),
+                      undetermined=int(np.sum(svals[dim - k:] <= tol)))
 
 
 def remove_matrix(vectors: np.ndarray, model: NoiseModel) -> np.ndarray:
@@ -108,7 +112,7 @@ def remove_matrix(vectors: np.ndarray, model: NoiseModel) -> np.ndarray:
 def remove(rows: np.ndarray, model: NoiseModel) -> np.ndarray:
     """``remove_matrix`` of each row on its own; ``rows`` itself when k = 0."""
     if model.k == 0:
-        return rows
+        return remove_matrix(rows, model)  # refuses a width mismatch
     out = np.empty_like(rows, dtype=np.float64)
     for i, row in enumerate(rows):
         out[i] = remove_matrix(row, model)
@@ -122,9 +126,8 @@ def save(model: NoiseModel, path) -> None:
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_HEADER_MAGIC} k={model.k} dim={model.dim}\n")
-        for row in model.vk:
+        for row in [*model.vk, model.singular_values]:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-        fh.write(" ".join(f"{v:.17g}" for v in model.singular_values) + "\n")
 
 
 def _reals(path, lineno: int, fields: list[str]) -> list[float]:
@@ -149,8 +152,9 @@ _ORTHONORMAL_TOL = 1e-9
 
 def load(path) -> NoiseModel:
     """Read a model written by ``save``; validates the header, the row
-    shapes, that every value is a finite real and that the rows are
-    orthonormal."""
+    shapes, that every value is a finite real, that the singular values
+    are non-negative and descending (``smallest`` selects by position) and
+    that the rows are orthonormal."""
     lines = [line for _, line in read_lines(path)]
     if not lines:
         raise FormatError(f"{path}: empty noise-model file")
@@ -176,6 +180,9 @@ def load(path) -> NoiseModel:
     if len(svals) != k:
         raise FormatError(f"{path}: expected {k} singular values, found {len(svals)}")
     singular_values = np.array(_reals(path, k + 2, svals))
+    if (singular_values < 0).any() or (np.diff(singular_values) > 0).any():
+        raise FormatError(f"{path}: singular values at line {k + 2} are not "
+                          f"non-negative and descending")
     vk = np.array(rows, dtype=np.float64).reshape(k, dim)
     with np.errstate(over="ignore", invalid="ignore"):  # huge rows: inf, nan
         error = np.abs(vk @ vk.T - np.eye(k)).max(initial=0.0)

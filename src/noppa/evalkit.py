@@ -456,8 +456,8 @@ def grid_search(dataset: LabeledDataset, vectors: VectorTable,
                                   for split, (_, kept) in zip(splits, embedded))
 
         for a in a_values:
-            fit_rows = np.vstack([train_m[a], test_m[a]]) if fit_on_test else train_m[a]
-            fitted = denoiser.fit(fit_rows, k_values[-1])
+            fitted_on = (train_m, test_m) if fit_on_test else (train_m,)
+            fitted = denoiser.fit((row for m in fitted_on for row in m[a]), k_values[-1])
             for k in k_values:
                 model = fitted.smallest(k)
                 train_x, dev_x, test_x = (denoiser.remove_matrix(m[a], model)

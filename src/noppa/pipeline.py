@@ -6,7 +6,7 @@ vector of each line of a file, one ``embed`` each (``embed``, ``fit-noise``).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +36,7 @@ class Pipeline:
             vector = denoiser.remove(vector[None], self.noise)[0]
         return toks, vector
 
-    def embed_lines(self, lines: list[str]) -> Iterator[np.ndarray | None]:
+    def embed_lines(self, lines: Iterable[str]) -> Iterator[np.ndarray | None]:
         """Yield ``embed(line)``'s vector for each line in order, or None for
         a line with no in-vocabulary token."""
         for raw in lines:

@@ -264,9 +264,13 @@ class TestFitNoise:
         assert exc.value.code == 64
         assert "the following arguments are required: --out" in capsys.readouterr().err
 
+    @staticmethod
+    def _warning(open_, k):
+        return f"warning: {open_} of the {k} noise directions are not determined by the data\n"
+
     def test_fewer_sentences_than_dimensions_warns(self, world, capsys):
-        # 3 sentences in D = 10: at least 2 of the 2 smallest singular
-        # values are 0, so the data leave those directions open.
+        # 3 sentences in D = 10: rank 3, so the 2 smallest singular values
+        # are 0 and the data leave those directions open.
         tmp, vec, freq, sent = world
         few = tmp / "few.txt"
         few.write_text("the girl eats a cake\na dog runs fast\nthe blue sky\n")
@@ -274,21 +278,33 @@ class TestFitNoise:
         capsys.readouterr()
         assert run(["fit-noise", "--vectors", vec, "--freq", freq, "-k", "2",
                     "--out", str(out), str(few)]) == 0
-        assert capsys.readouterr().err == (
-            "warning: N=3 sentences in D=10 dimensions: at least 2 of the 2 noise "
-            "directions lie in the data's null space and are not determined by "
-            "the data\n")
+        assert capsys.readouterr().err == self._warning(2, 2)
         np.testing.assert_allclose(denoiser.load(out).singular_values, 0, atol=1e-6)
-        # As many sentences as dimensions or more: no warning.
+        # 15 sentences of full rank: no warning.
         assert run(["fit-noise", "--vectors", vec, "--freq", freq, "-k", "2",
                     "--out", str(out), sent]) == 0
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("n,k,zeros", [(9, 3, 1), (3, 0, None), (10, 2, None)],
+    def test_repeated_sentences_warn_with_more_sentences_than_dimensions(
+            self, world, capsys):
+        # 4 distinct sentences, each 3 times: N = 12 >= D = 10 but rank 4,
+        # so all 3 retained directions lie in the data's null space.
+        tmp, vec, freq, _ = world
+        repeated = tmp / "repeated.txt"
+        repeated.write_text("the girl eats a cake\na dog runs fast\n"
+                            "the blue sky\ngirl eats cake\n" * 3)
+        out = tmp / "noise.txt"
+        capsys.readouterr()
+        assert run(["fit-noise", "--vectors", vec, "--freq", freq, "-k", "3",
+                    "--out", str(out), str(repeated)]) == 0
+        assert capsys.readouterr().err == self._warning(3, 3)
+        np.testing.assert_allclose(denoiser.load(out).singular_values, 0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,k,open_", [(9, 3, 1), (3, 0, None), (10, 2, None)],
                              ids=["fewer-than-k-open", "k-zero", "n-equals-d"])
-    def test_null_space_warning(self, world, capsys, n, k, zeros):
-        # The warning names min(k, D - N) directions, and only fits with
-        # k >= 1 and N < D = 10 give one.
+    def test_null_space_warning(self, world, capsys, n, k, open_):
+        # The warning names the min(k, D - rank) retained directions with a
+        # zero singular value; only fits with k >= 1 and rank < D = 10 warn.
         tmp, vec, freq, _ = world
         lines = (tmp / "sentences.txt").read_text().splitlines(True)
         first = tmp / "first.txt"
@@ -298,14 +314,11 @@ class TestFitNoise:
         assert run(["fit-noise", "--vectors", vec, "--freq", freq, "-k", str(k),
                     "--out", str(out), str(first)]) == 0
         err = capsys.readouterr().err
-        if zeros is None:
+        if open_ is None:
             assert err == ""
         else:
-            assert err == (
-                f"warning: N={n} sentences in D=10 dimensions: at least {zeros} of "
-                f"the {k} noise directions lie in the data's null space and are "
-                f"not determined by the data\n")
-            assert np.sum(denoiser.load(out).singular_values < 1e-6) >= zeros
+            assert err == self._warning(open_, k)
+            assert np.sum(denoiser.load(out).singular_values < 1e-12) == open_
 
     def test_help_names_the_model_file(self, capsys):
         # --out is required: the help must not offer stdout as its default.
@@ -321,6 +334,23 @@ class TestFitNoise:
         out = tmp / "noise.txt"
         assert run(["fit-noise", "--vectors", vec, "--freq", freq,
                     "-k", "11", "--unsafe-ranges", "--out", str(out), sent]) == 3
+
+    @pytest.mark.parametrize("text,k,message", [
+        ("zebra quokka\n\nunknown words\n", 0, "k=0 but no sentences to fit"),
+        ("the girl eats a cake\nzebra\na dog runs fast\n", 3,
+         "k=3 exceeds min(sentences, dim) = 2"),
+    ], ids=["no-sentence-embeds", "k-above-sentences"])
+    def test_too_few_sentences_exit_3(self, world, capsys, text, k, message):
+        # The fit's own refusal: one line, and no model file written.
+        tmp, vec, freq, _ = world
+        few = tmp / "few.txt"
+        few.write_text(text)
+        out = tmp / "noise.txt"
+        capsys.readouterr()
+        assert run(["fit-noise", "--vectors", vec, "--freq", freq, "-k", str(k),
+                    "--out", str(out), str(few)]) == 3
+        _one_line_error(capsys, message)
+        assert not out.exists()
 
     @pytest.mark.parametrize("sub", ["fit-noise", "embed"])
     def test_negative_k_exit_1(self, world, capsys, sub):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,75 @@ def _rank_deficient(rng, l, dim, rank):
     return rng.standard_normal((l, rank)) @ rng.standard_normal((rank, dim))
 
 
+class TestPrecisionContract:
+    """``fit`` against ``np.linalg.svd`` of the whole matrix.  With
+    tol = max(l, D) * eps * sigma_max (the rank tolerance), each retained
+    singular value is within tol of the oracle's, and the retained subspace
+    is within tol / gap radians of the oracle's, where gap is the distance
+    from the k-th smallest singular value to the next larger one."""
+
+    @pytest.mark.parametrize("shape,rank,k", [
+        ((3000, 40), 40, 5),  # well-conditioned, several chunks
+        ((3000, 40), 30, 10),  # rank-deficient, l >= D: the null space
+        ((3000, 40), 30, 12),  # the null space and two determined directions
+        ((25, 40), 25, 17),  # l < D
+    ], ids=["well-conditioned", "null-space", "past-null-space", "wide"])
+    def test_matches_full_svd(self, shape, rank, k):
+        rng = np.random.default_rng(31)
+        X = _rank_deficient(rng, *shape, rank)
+        model = denoiser.fit(X, k)
+        # vt is D x D either way; a full U would be l x l.
+        _, svals, vt = np.linalg.svd(X, full_matrices=shape[0] < shape[1])
+        svals = np.concatenate([svals, np.zeros(shape[1] - svals.size)])
+        tol = max(shape) * np.finfo(np.float64).eps * svals[0]
+        assert np.linalg.matrix_rank(X) == rank  # the same tolerance
+        assert model.undetermined == min(k, shape[1] - rank)
+        assert np.abs(model.singular_values - svals[-k:]).max() <= tol
+        gap = svals[-k - 1] - svals[-k]
+        assert subspace_angles(model.vk.T, vt[-k:].T).max() <= tol / gap
+
+    def test_rank_deficient_sigma_min_is_exact(self):
+        # 200 x 20 of rank 19: the Gram matrix X^T X would square the
+        # condition number and put sigma_min near 1e-6.
+        rng = np.random.default_rng(32)
+        X = _rank_deficient(rng, 200, 20, 19)
+        model = denoiser.fit(X, 1)
+        sigma_max = np.linalg.svd(X, compute_uv=False)[0]
+        assert model.undetermined == 1
+        assert model.singular_values[0] <= 200 * np.finfo(np.float64).eps * sigma_max
+
+    def test_generator_bitwise_equal_to_matrix(self):
+        rng = np.random.default_rng(33)
+        X = rng.standard_normal((2 * denoiser._CHUNK_ROWS + 452, 30))  # last chunk partial
+        want = denoiser.fit(X, 7)
+        got = denoiser.fit((row for row in X), 7)
+        assert got.undetermined == want.undetermined
+        assert got.vk.tobytes() == want.vk.tobytes()
+        assert got.singular_values.tobytes() == want.singular_values.tobytes()
+
+    @pytest.mark.parametrize("rows", [[], np.ones(5), np.ones((2, 0))],
+                             ids=["empty", "one-d", "zero-width"])
+    def test_refuses_rows_that_are_not_a_matrix(self, rows):
+        with pytest.raises(NoppaError):
+            denoiser.fit(rows, 0)
+
+    def test_traced_peak_does_not_grow_with_rows(self):
+        """The fit keeps one chunk and R: its traced peak at 20k rows is
+        within 10% of the one at 2k."""
+
+        def peak(n):
+            rng = np.random.default_rng(34)
+            tracemalloc.start()
+            try:
+                denoiser.fit((rng.standard_normal(100) for _ in range(n)), 10)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2000), peak(20000)
+        assert large <= 1.1 * small, (small, large)
+
+
 class TestSmallest:
     """``fit(X, kmax).smallest(k)`` is the model ``fit(X, k)``, bit for bit."""
 
@@ -103,6 +174,7 @@ class TestSmallest:
         for k in range(kmax + 1):
             got, want = nested.smallest(k), denoiser.fit(X, k)
             assert (got.k, got.dim) == (want.k, want.dim) == (k, X.shape[1])
+            assert got.undetermined == want.undetermined
             np.testing.assert_array_equal(got.vk.view(np.uint64), want.vk.view(np.uint64))
             np.testing.assert_array_equal(got.singular_values.view(np.uint64),
                                           want.singular_values.view(np.uint64))
@@ -180,6 +252,14 @@ class TestRemove:
     def test_dim_mismatch(self):
         with pytest.raises(NoppaError, match="dim mismatch"):
             denoiser.remove(np.ones((1, 5)), self.model)
+
+    def test_dim_mismatch_with_k_zero(self):
+        # A k = 0 model removes nothing but still has a width.
+        model = denoiser.fit(np.ones((3, 10)), 0)
+        for remove in (denoiser.remove, denoiser.remove_matrix):
+            with pytest.raises(NoppaError, match="dim mismatch: vectors dim 6 "
+                                                 "vs model dim 10"):
+                remove(np.ones((1, 6)), model)
 
 
 class TestSaveLoad:
@@ -259,6 +339,19 @@ class TestSaveLoad:
         assert str(exc.value) == (f"{path}: not a finite real at line {line}: "
                                   f"{value!r}")
 
+    @pytest.mark.parametrize("svals", ["-5 7", "0 7", "7 -5", "1e-300 1"],
+                             ids=["negative-increasing", "increasing", "negative",
+                                  "tiny-increasing"])
+    def test_singular_values_not_descending_non_negative(self, tmp_path, svals):
+        # smallest(k) selects by position, so an unordered line would keep
+        # the wrong directions.
+        path = tmp_path / "noise.txt"
+        path.write_text(f"NOPPA-NOISE v1 k=2 dim=2\n1 0\n0 1\n{svals}\n")
+        with pytest.raises(FormatError) as exc:
+            denoiser.load(path)
+        assert str(exc.value) == (f"{path}: singular values at line 4 are not "
+                                  f"non-negative and descending")
+
     def test_rows_not_orthonormal(self, tmp_path):
         path = tmp_path / "noise.txt"
         path.write_text("NOPPA-NOISE v1 k=2 dim=2\n1 0\n1e300 0\n2 1\n")
@@ -290,5 +383,7 @@ class TestNoiseFileFuzz:
         assert model.vk.shape == (model.k, model.dim)
         assert np.isfinite(model.vk).all()
         assert np.isfinite(model.singular_values).all()
+        assert (model.singular_values >= 0).all()
+        assert (np.diff(model.singular_values) <= 0).all()
         np.testing.assert_allclose(model.vk @ model.vk.T, np.eye(model.k),
                                    atol=1e-9)

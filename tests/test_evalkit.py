@@ -430,6 +430,7 @@ class TestGridSearch:
         fit = evalkit.denoiser.fit
 
         def counting_fit(rows, k):
+            rows = list(rows)  # train rows, then test rows: an iterable
             fits.append((len(rows), k))
             return fit(rows, k)
 
