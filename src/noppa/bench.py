@@ -1,4 +1,4 @@
-"""``noppa bench``: a quick encode timing and the length-scaling probe.
+"""``noppa bench``: the length-scaling probe of acceptance criterion C5.
 
 The probe times the encode pass on synthetic sentences of length n and 2n
 (quadratic in n, so the ratio should be about 4) and the denoise pass on
@@ -17,7 +17,7 @@ import numpy as np
 from . import denoiser
 from .encoder import EncoderConfig, encode_batch
 from .errors import NoppaError
-from .lexicon import FrequencyTable, TokenSequence, VectorTable, tokenize
+from .lexicon import FrequencyTable, TokenSequence, VectorTable
 
 
 def _timed(passes, repetitions):
@@ -41,16 +41,28 @@ def _remove_25(rows, model):
 # long enough for the host's speed to change within it, a chunk does not.
 PROBE_CHUNK = 50
 # The probe's fixed settings, those of acceptance criterion C5: the
-# directions of its noise model, the rounds of every encode timing (the
-# fewest with a spread), the sentences per length and the seed they are
-# drawn with.
+# directions of its noise model, the rounds of every encode timing (each
+# chunk's time is the best of them), the sentences per length and the seed
+# they are drawn with.
 PROBE_K = 10
 REPETITIONS = 3
 PROBE_COUNT = 1000
 PROBE_SEED = 5001
 
 
-def _probe_line(vectors, frequencies, config, n) -> str:
+def check_options(scaling_n: int) -> None:
+    """Reject a probe length that ``report`` cannot run with."""
+    if scaling_n < 1:
+        raise NoppaError(f"scaling_n must be >= 1, got {scaling_n}")
+
+
+def report(vectors: VectorTable, frequencies: FrequencyTable,
+           config: EncoderConfig, n: int) -> str:
+    """Text of ``noppa bench``: the machine and the scaling probe at n and
+    2n on ``PROBE_COUNT`` sentences of each length sampled from the vector
+    vocabulary with ``PROBE_SEED``.  The probe's noise model removes
+    ``PROBE_K`` directions."""
+    check_options(n)
     rng = np.random.default_rng(PROBE_SEED)
     vocab = list(vectors.index)  # token of each row
     chunks = []
@@ -71,36 +83,10 @@ def _probe_line(vectors, frequencies, config, n) -> str:
     times, _ = _timed([partial(_remove_25, rows, model) for rows in (emb_short, emb_long)],
                       10)
     denoise_short, denoise_long = (float(np.mean(t)) / 25 for t in times)
-    return (f"scaling probe (n={n} vs {2 * n}, {PROBE_COUNT} sentences): "
+    return (f"machine: {platform.platform()} | python {platform.python_version()} | "
+            f"numpy {np.__version__} | cpu {platform.processor() or 'unknown'}\n"
+            f"scaling probe (n={n} vs {2 * n}, {PROBE_COUNT} sentences): "
             f"encode {encode_short:.4f}s -> {encode_long:.4f}s "
             f"(ratio {encode_long / encode_short:.2f}); "
             f"denoise {denoise_short * 1e3:.3f}ms -> {denoise_long * 1e3:.3f}ms "
-            f"(ratio {denoise_long / denoise_short:.2f})")
-
-
-def check_options(scaling_n: int | None) -> None:
-    """Reject a probe length that ``report`` cannot run with."""
-    if scaling_n is not None and scaling_n < 1:
-        raise NoppaError(f"scaling_n must be >= 1, got {scaling_n}")
-
-
-def report(sentences, vectors: VectorTable, frequencies: FrequencyTable,
-           config: EncoderConfig, scaling_n: int | None = None) -> str:
-    """Text of ``noppa bench``: the machine, the encode time of
-    ``sentences`` (raw strings) over ``REPETITIONS`` passes and, when
-    ``scaling_n`` is given, the scaling probe on ``PROBE_COUNT`` sentences
-    of each length sampled from the vector vocabulary with ``PROBE_SEED``.
-    The probe's noise model removes ``PROBE_K`` directions."""
-    check_options(scaling_n)
-    token_lists = [t for t in (tokenize(s, vectors) for s in sentences) if len(t)]
-    (times,), _ = _timed([partial(encode_batch, token_lists, vectors, frequencies, config)],
-                         REPETITIONS)
-    lines = [f"machine: {platform.platform()} | python {platform.python_version()} | "
-             f"numpy {np.__version__} | cpu {platform.processor() or 'unknown'}",
-             f"sentences: {len(token_lists)}",
-             f"encode: {np.mean(times):.4f}s ± "
-             f"{np.std(times, ddof=1) / np.sqrt(len(times)):.4f}s "
-             f"over {len(times)} reps"]
-    if scaling_n is not None:
-        lines.append(_probe_line(vectors, frequencies, config, scaling_n))
-    return "\n".join(lines) + "\n"
+            f"(ratio {denoise_long / denoise_short:.2f})\n")

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: embed, fit-noise, attention, contrib, weight-curve, eval,
-bench (a quick encode timing and the length-scaling probe; the end-to-end
+bench (the length-scaling probe of acceptance criterion C5; the end-to-end
 timing of the other subcommands is ``benchmark/run.py``).  Exit codes: 0
 ok, 1 runtime error, 2 missing input, 3 infeasible configuration, 64
 usage.  Each subcommand accepts only the flags it reads.
@@ -125,10 +125,6 @@ def _write_out(args, pieces):
         fh.writelines(pieces)
 
 
-def _read_sentences(path) -> list[str]:
-    return [line for _, line in read_lines(_open_input(path))]
-
-
 # Lines of embedding CSV formatted and written at a time.  The formatter's
 # temporaries take about 0.2 MB per line at 2d = 600; at 16 lines they stay
 # below the peak of the embedding stage itself.
@@ -152,7 +148,8 @@ def _embedding_csv(pipe, lines):
 
 def cmd_embed(args) -> int:
     pipe = _build_pipeline(args)
-    _write_out(args, _embedding_csv(pipe, _read_sentences(args.sentences)))
+    lines = [line for _, line in read_lines(_open_input(args.sentences))]
+    _write_out(args, _embedding_csv(pipe, lines))
     return EXIT_OK
 
 
@@ -253,9 +250,7 @@ def cmd_bench(args) -> int:
     bench.check_options(args.scale_n)
     vectors, frequencies = _load_tables(args)
     config = EncoderConfig(a=DEFAULT_A, dim=vectors.dim)
-    sentences = _read_sentences(args.sentences) if args.sentences else []
-    sys.stdout.write(bench.report(sentences, vectors, frequencies, config,
-                                  scaling_n=args.scale_n))
+    sys.stdout.write(bench.report(vectors, frequencies, config, args.scale_n))
     return EXIT_OK
 
 
@@ -314,10 +309,9 @@ def build_parser() -> _Parser:
     p.add_argument("--log", help="run-log file (appended)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="quick encode timing and length-scaling probe")
+    p = sub.add_parser("bench", help="length-scaling probe")
     _add_flags(p, "--vectors", "--freq")
-    p.add_argument("--sentences", help="sentences file to time end-to-end")
-    p.add_argument("--scale-n", type=int,
+    p.add_argument("--scale-n", type=int, required=True,
                    help="run the length-scaling probe at n and 2n")
     p.set_defaults(func=cmd_bench)
 

@@ -78,8 +78,11 @@ def fit(rows: Iterable, k: int) -> NoiseModel:
         raise NoppaError(f"k must be >= 0, got {k}")
     r, l, it = None, 0, iter(rows)
     while chunk := list(itertools.islice(it, _CHUNK_ROWS)):
-        X = np.array(chunk, dtype=np.float64)
-        if X.ndim != 2 or X.size == 0:
+        try:
+            X = np.array(chunk, dtype=np.float64)
+        except (TypeError, ValueError):  # ragged rows, or values that are not numbers
+            X = np.empty(0)  # refused just below
+        if X.ndim != 2 or X.size == 0 or (r is not None and X.shape[1] != r.shape[1]):
             raise NoppaError("embeddings must be rows of one non-zero length")
         if not np.isfinite(X).all():
             raise NoppaError("non-finite values in embedding matrix")

@@ -313,6 +313,12 @@ class TestCriterion5Scaling:
              "--scale-n", "64"],
             capture_output=True, text=True, env=env, timeout=280)
         assert proc.returncode == 0, proc.stderr
+        # bench prints the machine line and the probe line, nothing else.
+        lines = proc.stdout.splitlines()
+        assert proc.stdout.endswith("\n") and len(lines) == 2, proc.stdout
+        assert lines[0].startswith("machine: "), proc.stdout
+        assert lines[1].startswith("scaling probe (n=64 vs 128, 1000 sentences): "), \
+            proc.stdout
         match = re.search(r"encode .*?\(ratio ([0-9.]+)\); denoise .*?"
                           r"\(ratio ([0-9.]+)\)", proc.stdout)
         assert match, f"unparseable bench output: {proc.stdout!r}"

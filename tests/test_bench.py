@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from noppa import EncoderConfig
+from noppa import EncoderConfig, NoppaError
 from noppa import bench
 from noppa.bench import report
 
@@ -15,20 +15,23 @@ class TestReport:
         rng = np.random.default_rng(200)
         vt = random_table(rng, vocab_size=50, dim=8)
         ft = random_frequencies(rng, vt)
-        vocab = list(vt.index)
-        sentences = [" ".join(vocab[i:i + 5]) for i in range(0, 40, 5)] + ["zzz"]
         monkeypatch.setattr(bench, "PROBE_COUNT", 20)
-        text = report(sentences, vt, ft, EncoderConfig(a=0.05, dim=8), scaling_n=4)
+        text = report(vt, ft, EncoderConfig(a=0.05, dim=8), 4)
         lines = text.splitlines()
-        assert text.endswith("\n") and len(lines) == 4
+        assert text.endswith("\n") and len(lines) == 2
         assert re.fullmatch(r"machine: .* \| python \S+ \| numpy \S+ \| cpu .*",
                             lines[0])
-        assert lines[1] == "sentences: 8"
-        assert re.fullmatch(r"encode: \d+\.\d{4}s ± \d+\.\d{4}s over 3 reps", lines[2])
         assert re.fullmatch(
             r"scaling probe \(n=4 vs 8, 20 sentences\): "
             r"encode \d+\.\d{4}s -> \d+\.\d{4}s \(ratio \d+\.\d\d\); "
-            r"denoise \d+\.\d{3}ms -> \d+\.\d{3}ms \(ratio \d+\.\d\d\)", lines[3])
+            r"denoise \d+\.\d{3}ms -> \d+\.\d{3}ms \(ratio \d+\.\d\d\)", lines[1])
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_refuses_probe_length_below_one(self, n):
+        rng = np.random.default_rng(201)
+        vt = random_table(rng, vocab_size=20, dim=4)
+        with pytest.raises(NoppaError, match=f"^scaling_n must be >= 1, got {n}$"):
+            report(vt, random_frequencies(rng, vt), EncoderConfig(a=0.05, dim=4), n)
 
     def test_probe_alternates_short_and_long_encode_passes(self, monkeypatch):
         # A slow spell of the host must hit both sides of the ratio, so the
@@ -44,8 +47,8 @@ class TestReport:
 
         monkeypatch.setattr(bench, "encode_batch", recording)
         monkeypatch.setattr(bench, "PROBE_COUNT", 5)
-        report([], vt, ft, EncoderConfig(a=0.05, dim=4), scaling_n=4)
-        assert lengths == [[]] * 3 + [[4], [8]] * 3
+        report(vt, ft, EncoderConfig(a=0.05, dim=4), 4)
+        assert lengths == [[4], [8]] * 3
 
     def test_probe_chunks_take_turns(self, monkeypatch):
         # Each side's sentences are timed in chunks of 50, and the short and
@@ -61,9 +64,9 @@ class TestReport:
 
         monkeypatch.setattr(bench, "encode_batch", recording)
         monkeypatch.setattr(bench, "PROBE_COUNT", 120)
-        report([], vt, ft, EncoderConfig(a=0.05, dim=4), scaling_n=4)
-        assert calls == [([], 0)] * 3 + [([4], 50), ([8], 50), ([4], 50), ([8], 50),
-                                          ([4], 20), ([8], 20)] * 3
+        report(vt, ft, EncoderConfig(a=0.05, dim=4), 4)
+        assert calls == [([4], 50), ([8], 50), ([4], 50), ([8], 50),
+                         ([4], 20), ([8], 20)] * 3
 
     def test_probe_draws_the_same_sentences_every_run(self, monkeypatch):
         # The probe's seed is fixed, so two reports time the same sentences.
@@ -79,7 +82,7 @@ class TestReport:
         monkeypatch.setattr(bench, "encode_batch", recording)
         monkeypatch.setattr(bench, "PROBE_COUNT", 5)
         for _ in range(2):
-            report([], vt, ft, EncoderConfig(a=0.05, dim=4), scaling_n=4)
+            report(vt, ft, EncoderConfig(a=0.05, dim=4), 4)
         first, second = drawn[:len(drawn) // 2], drawn[len(drawn) // 2:]
         assert first == second and any(first)
 
@@ -99,5 +102,5 @@ class TestReport:
 
         monkeypatch.setattr(bench.denoiser, "fit", recording)
         monkeypatch.setattr(bench, "PROBE_COUNT", count)
-        report([], vt, ft, EncoderConfig(a=0.05, dim=dim), scaling_n=3)
+        report(vt, ft, EncoderConfig(a=0.05, dim=dim), 3)
         assert fitted == [k]

@@ -619,7 +619,7 @@ class TestImports:
                        "from noppa.cli import main\n"
                        "with contextlib.redirect_stdout(io.StringIO()):\n"
                        f"    code = main(['bench', '--vectors', {vec!r}, '--freq', "
-                       f"{freq!r}, '--sentences', {sent!r}])\n"
+                       f"{freq!r}, '--scale-n', '1'])\n"
                        "print(code, 'noppa.evalkit' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0 False\n"
@@ -792,12 +792,18 @@ class TestEvalAndBench:
         assert [line.split(",")[3] for line in log.read_text().splitlines()] == ["0", "1"]
 
     def test_bench_prints_machine_line(self, world, capsys):
-        _, vec, freq, sent = world
-        assert run(["bench", "--vectors", vec, "--freq", freq,
-                    "--sentences", sent]) == 0
+        _, vec, freq, _ = world
+        assert run(["bench", "--vectors", vec, "--freq", freq, "--scale-n", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert [line.split(":")[0] for line in lines] == ["machine", "sentences", "encode"]
-        assert lines[1] == "sentences: 15"
+        assert [line.split(":")[0] for line in lines] == [
+            "machine", "scaling probe (n=1 vs 2, 1000 sentences)"]
+
+    def test_bench_without_scale_n_exit_64(self, world, capsys):
+        _, vec, freq, _ = world
+        with pytest.raises(SystemExit) as exc:
+            run(["bench", "--vectors", vec, "--freq", freq])
+        assert exc.value.code == 64
+        assert "the following arguments are required: --scale-n" in capsys.readouterr().err
 
 
 # Commands that take -a, and those that take k (-k or --k-grid); eval and
@@ -1086,9 +1092,10 @@ class TestUsage:
                   "--train-limit", "--dev-limit", "--test-limit", "--fit-on-test",
                   "--log"},
                  ["--seed", "--jobs", "-a", "-k", "--noise-model", "--out"]),
-        "bench": ({"--vectors", "--freq", "--sentences", "--scale-n"},
+        "bench": ({"--vectors", "--freq", "--scale-n"},
                   ["--jobs", "--out", "--unsafe-ranges", "--noise-model", "-a",
-                   "--no-positions", "-k", "--reps", "--scale-count", "--seed"]),
+                   "--no-positions", "-k", "--reps", "--scale-count", "--seed",
+                   "--sentences"]),
     }
 
     @pytest.mark.parametrize("sub", ["embed", "fit-noise", "attention",
@@ -1108,7 +1115,7 @@ class TestUsage:
             "contrib": ["--vectors", vec, "--freq", freq, "the girl"],
             "weight-curve": ["--freq", freq, "--group", "stop=the"],
             "eval": ["--vectors", vec, "--freq", freq, sent],
-            "bench": ["--vectors", vec, "--freq", freq],
+            "bench": ["--vectors", vec, "--freq", freq, "--scale-n", "1"],
         }[sub]
         for flag in removed:
             value = [] if flag == "--unsafe-ranges" else ["1"]

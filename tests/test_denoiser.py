@@ -140,6 +140,17 @@ class TestPrecisionContract:
         with pytest.raises(NoppaError):
             denoiser.fit(rows, 0)
 
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 2.0], [1.0]],
+        [*np.ones((denoiser._CHUNK_ROWS, 2)), np.ones(3)],
+        [["a", "b"]],
+    ], ids=["ragged-in-chunk", "width-change-across-chunks", "not-numbers"])
+    def test_refuses_rows_of_unequal_width_or_not_numbers(self, rows):
+        # numpy's own ValueError would escape the CLI's NoppaError handler.
+        with pytest.raises(NoppaError, match="^embeddings must be rows of one "
+                                             "non-zero length$"):
+            denoiser.fit(rows, 0)
+
     def test_traced_peak_does_not_grow_with_rows(self):
         """The fit keeps one chunk and R: its traced peak at 20k rows is
         within 10% of the one at 2k."""

@@ -180,6 +180,11 @@ class TestSmoothFrequencyWeight:
         with pytest.raises(NoppaError, match="a must be finite and positive"):
             EncoderConfig(a=a, dim=2)
 
+    def test_config_rejects_dim_below_one(self):
+        # The table parsers refuse a dim-0 table first; this is the library's guard.
+        with pytest.raises(NoppaError, match="^dim must be >= 1, got 0$"):
+            EncoderConfig(a=0.05, dim=0)
+
 
 def single_token_world(p, a, vec):
     vt = VectorTable.from_mapping({"only": vec})

@@ -540,6 +540,15 @@ class TestLoadFrequencies:
         assert abs(total - 1.0) <= 1e-9
         assert min(ft.probabilities.values()) >= 1.0 / ft.total_count - 1e-15
 
+    # load_frequencies refuses both first; these are the library's guards.
+    @pytest.mark.parametrize("counts,message", [
+        ({}, "frequency table must not be empty"),
+        ({"a": 0}, "non-positive count for 'a': 0"),
+    ], ids=["empty", "zero-count"])
+    def test_from_counts_refusals(self, counts, message):
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            FrequencyTable.from_counts(counts)
+
 
 class TestFrequencyFileFuzz:
     @settings(max_examples=150, deadline=None)
