@@ -34,7 +34,7 @@ def _timed(passes, repetitions):
 
 def _remove_25(rows, model):
     for _ in range(25):
-        denoiser.remove_matrix(rows, model)
+        denoiser.remove(rows, model)
 
 
 # Sentences per timed chunk of the probe: one pass over all of them lasts
@@ -48,12 +48,16 @@ PROBE_K = 10
 REPETITIONS = 3
 PROBE_COUNT = 1000
 PROBE_SEED = 5001
+# The largest n: 3 million row ids, and ~200 MB per 2n-token encode at dim 300.
+MAX_SCALE_N = 1024
 
 
 def check_options(scaling_n: int) -> None:
     """Reject a probe length that ``report`` cannot run with."""
     if scaling_n < 1:
         raise NoppaError(f"scaling_n must be >= 1, got {scaling_n}")
+    if scaling_n > MAX_SCALE_N:
+        raise NoppaError(f"scaling_n must be <= {MAX_SCALE_N}, got {scaling_n}")
 
 
 def report(vectors: VectorTable, frequencies: FrequencyTable,
@@ -78,8 +82,8 @@ def report(vectors: VectorTable, frequencies: FrequencyTable,
     emb_short, emb_long = (np.concatenate([r[config.a] for r in results[side::2]])
                            for side in (0, 1))
     model = denoiser.fit(emb_short, min(PROBE_K, *emb_short.shape))
-    # One remove_matrix pass is ~ms, so each reading averages 25 of them,
-    # over ten rounds.
+    # One remove pass over 1000 rows takes a few ms, so each reading
+    # averages 25 of them, over ten rounds.
     times, _ = _timed([partial(_remove_25, rows, model) for rows in (emb_short, emb_long)],
                       10)
     denoise_short, denoise_long = (float(np.mean(t)) / 25 for t in times)

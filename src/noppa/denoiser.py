@@ -8,10 +8,9 @@ before the decomposition; that is a deliberate literal reading of the
 fitting recipe.  The k smallest directions of one decomposition are nested:
 ``smallest(k)`` of a fit is bit for bit the fit with k, so ``eval`` fits once per a.
 
-``remove_matrix`` subtracts the projection from a whole matrix in one
-product (``eval``).  ``remove`` does it one row at a time, so each row has
-the bits of a one-sentence removal (``embed``); a single product over all
-rows changes the last bits of the result.
+``remove`` subtracts the projection from every row in one stacked product
+of one-row products, so a row's bits do not depend on how many rows come
+with it: ``embed``, ``eval`` and ``bench`` give a row the same bits.
 """
 
 from __future__ import annotations
@@ -70,17 +69,17 @@ def _fix_signs(rows: np.ndarray) -> np.ndarray:
 
 def fit(rows: Iterable, k: int) -> NoiseModel:
     """Fit the noise model on raw sentence embeddings: any iterable of
-    D-length rows, such as an (l x D) matrix or a generator.  Keeps the
-    right singular directions of the k smallest singular values (l < D pads
-    the spectrum with zeros; ties break by LAPACK's fixed ordering).  The
-    rank tolerance is max(l, D) * eps * sigma_max."""
+    D-length rows of ints or floats, such as an (l x D) matrix or a
+    generator.  Keeps the right singular directions of the k smallest
+    singular values (l < D pads the spectrum with zeros; ties break by
+    LAPACK's fixed ordering).  The rank tolerance is max(l, D) * eps * sigma_max."""
     if k < 0:
         raise NoppaError(f"k must be >= 0, got {k}")
     r, l, it = None, 0, iter(rows)
     while chunk := list(itertools.islice(it, _CHUNK_ROWS)):
-        try:
-            X = np.array(chunk, dtype=np.float64)
-        except (TypeError, ValueError):  # ragged rows, or values that are not numbers
+        try:  # numpy numbers only: not ragged rows, text, complex or Python objects
+            X = np.array(chunk).astype(np.float64, casting="same_kind", copy=False)
+        except (TypeError, ValueError):
             X = np.empty(0)  # refused just below
         if X.ndim != 2 or X.size == 0 or (r is not None and X.shape[1] != r.shape[1]):
             raise NoppaError("embeddings must be rows of one non-zero length")
@@ -102,24 +101,19 @@ def fit(rows: Iterable, k: int) -> NoiseModel:
                       undetermined=int(np.sum(svals[dim - k:] <= tol)))
 
 
-def remove_matrix(vectors: np.ndarray, model: NoiseModel) -> np.ndarray:
-    """Subtract the vk-projection from each row; identity when k = 0."""
-    X = np.asarray(vectors, dtype=np.float64)
+def remove(rows: np.ndarray, model: NoiseModel) -> np.ndarray:
+    """Subtract the vk-projection from each row (or from one 1-D row), one
+    row at a time in a stacked product; ``rows`` itself when k = 0."""
+    X = np.asarray(rows, dtype=np.float64)
     if X.shape[-1] != model.dim:
         raise NoppaError(f"dim mismatch: vectors dim {X.shape[-1]} vs model dim {model.dim}")
     if model.k == 0:
         return X
-    return X - (X @ model.vk.T) @ model.vk
+    return X - np.matmul(np.matmul(X[..., None, :], model.vk.T), model.vk)[..., 0, :]
 
 
-def remove(rows: np.ndarray, model: NoiseModel) -> np.ndarray:
-    """``remove_matrix`` of each row on its own; ``rows`` itself when k = 0."""
-    if model.k == 0:
-        return remove_matrix(rows, model)  # refuses a width mismatch
-    out = np.empty_like(rows, dtype=np.float64)
-    for i, row in enumerate(rows):
-        out[i] = remove_matrix(row, model)
-    return out
+# The benchmark's tracer binds this name; it goes when that binding does.
+remove_matrix = remove
 
 
 def save(model: NoiseModel, path) -> None:

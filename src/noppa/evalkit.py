@@ -460,7 +460,7 @@ def grid_search(dataset: LabeledDataset, vectors: VectorTable,
             fitted = denoiser.fit((row for m in fitted_on for row in m[a]), k_values[-1])
             for k in k_values:
                 model = fitted.smallest(k)
-                train_x, dev_x, test_x = (denoiser.remove_matrix(m[a], model)
+                train_x, dev_x, test_x = (denoiser.remove(m[a], model)
                                           for m in (train_m, dev_m, test_m))
                 for seed in seeds:
                     t1 = time.perf_counter()

@@ -33,7 +33,7 @@ class Pipeline:
         toks = tokenize(raw, self.vectors)
         vector = encode(toks, self.vectors, self.frequencies, self.config)
         if self.noise is not None:
-            vector = denoiser.remove(vector[None], self.noise)[0]
+            vector = denoiser.remove(vector, self.noise)
         return toks, vector
 
     def embed_lines(self, lines: Iterable[str]) -> Iterator[np.ndarray | None]:

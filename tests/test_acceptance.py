@@ -235,7 +235,7 @@ class TestCriterion2Oracle:
         check("C2 scalar oracle, noise removal (1e-10)", worst_removed <= 1e-10,
               f"worst component deviation {worst_removed:.2e}")
 
-    def test_gram_route_against_full_svd(self):
+    def test_qr_route_against_full_svd(self):
         rng = np.random.default_rng(2002)
         worst = 0.0
         for _ in range(20):
@@ -245,7 +245,7 @@ class TestCriterion2Oracle:
             oracle_rows = vt_full[-3:]
             angle = float(subspace_angles(model.vk.T, oracle_rows.T).max())
             worst = max(worst, angle)
-        check("C2 Gram route vs full-SVD oracle (1e-4 rad)", worst <= 1e-4,
+        check("C2 QR route vs full-SVD oracle (1e-4 rad)", worst <= 1e-4,
               f"worst subspace angle {worst:.2e} rad")
 
 

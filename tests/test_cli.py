@@ -849,7 +849,9 @@ class TestBadNumbers:
     @pytest.mark.parametrize("argv,message", [
         (["--scale-n", "-3"], "scaling_n must be >= 1, got -3"),
         (["--scale-n", "0"], "scaling_n must be >= 1, got 0"),
-    ], ids=["negative-scale-n", "zero-scale-n"])
+        (["--scale-n", "9" * 30], f"scaling_n must be <= 1024, got {'9' * 30}"),
+        (["--scale-n", "1025"], "scaling_n must be <= 1024, got 1025"),
+    ], ids=["negative-scale-n", "zero-scale-n", "30-digit-scale-n", "max-plus-one-scale-n"])
     def test_bench_probe_size(self, world, capsys, argv, message):
         _, vec, freq, _ = world
         capsys.readouterr()

@@ -23,7 +23,7 @@ class TestFit:
         X = rng.standard_normal((10, 6))
         model = denoiser.fit(X, 0)
         assert model.k == 0
-        np.testing.assert_array_equal(denoiser.remove_matrix(X, model), X)
+        np.testing.assert_array_equal(denoiser.remove(X, model), X)
 
     def test_rank_one_rows_give_orthogonal_direction(self):
         X = np.tile(np.eye(4)[0], (12, 1))  # every row = e1
@@ -144,7 +144,9 @@ class TestPrecisionContract:
         [[1.0, 2.0], [1.0]],
         [*np.ones((denoiser._CHUNK_ROWS, 2)), np.ones(3)],
         [["a", "b"]],
-    ], ids=["ragged-in-chunk", "width-change-across-chunks", "not-numbers"])
+        [["1", "2"], ["3", "4"], ["5", "7"]],
+    ], ids=["ragged-in-chunk", "width-change-across-chunks", "not-numbers",
+            "numeric-strings"])
     def test_refuses_rows_of_unequal_width_or_not_numbers(self, rows):
         # numpy's own ValueError would escape the CLI's NoppaError handler.
         with pytest.raises(NoppaError, match="^embeddings must be rows of one "
@@ -189,8 +191,8 @@ class TestSmallest:
             np.testing.assert_array_equal(got.vk.view(np.uint64), want.vk.view(np.uint64))
             np.testing.assert_array_equal(got.singular_values.view(np.uint64),
                                           want.singular_values.view(np.uint64))
-            assert (denoiser.remove_matrix(rows, got).tobytes()
-                    == denoiser.remove_matrix(rows, want).tobytes())
+            assert (denoiser.remove(rows, got).tobytes()
+                    == denoiser.remove(rows, want).tobytes())
 
     @pytest.mark.parametrize("k", [-1, 5])
     def test_refuses_k_outside_0_to_model_k(self, k):
@@ -212,15 +214,24 @@ class TestRemove:
         model = denoiser.fit(self.X, 0)
         assert denoiser.remove(self.X, model) is self.X
 
-    def test_rows_bitwise_equal_one_row_remove_matrix(self):
-        # A single product over all rows changes the last bits; remove must not.
+    @pytest.mark.parametrize("shape,k", [
+        ((500, 100), 20), ((300, 100), 5), ((2000, 600), 10), ((50, 8), 3),
+        ((1478, 600), 24), ((600,), 10),
+    ], ids=["500x100", "300x100", "2000x600", "50x8", "1478x600", "one-d"])
+    def test_rows_bitwise_equal_one_row_remove_matrix(self, shape, k):
+        # A single matrix product over all rows changes the last bits; remove
+        # must give each row the bits it has on its own, as embed removes it.
         rng = np.random.default_rng(11)
-        X = rng.standard_normal((300, 60))
-        model = denoiser.fit(X, 10)
+        model = denoiser.fit(rng.standard_normal((max(shape[0], 50), shape[-1])), k)
+        X = rng.standard_normal(shape)
         out = denoiser.remove(X, model)
         assert out.shape == X.shape
-        for got, row in zip(out, X):
-            assert got.tobytes() == denoiser.remove_matrix(row, model).tobytes()
+        for got, row in zip(np.atleast_2d(out), np.atleast_2d(X)):
+            assert got.tobytes() == denoiser.remove(row, model).tobytes()
+            assert got.tobytes() == denoiser.remove(row[None], model)[0].tobytes()
+
+    def test_remove_matrix_is_remove(self):
+        assert denoiser.remove_matrix is denoiser.remove
 
     def test_empty_rows(self):
         assert denoiser.remove(np.empty((0, 6)), self.model).shape == (0, 6)
@@ -267,10 +278,9 @@ class TestRemove:
     def test_dim_mismatch_with_k_zero(self):
         # A k = 0 model removes nothing but still has a width.
         model = denoiser.fit(np.ones((3, 10)), 0)
-        for remove in (denoiser.remove, denoiser.remove_matrix):
-            with pytest.raises(NoppaError, match="dim mismatch: vectors dim 6 "
-                                                 "vs model dim 10"):
-                remove(np.ones((1, 6)), model)
+        with pytest.raises(NoppaError, match="dim mismatch: vectors dim 6 "
+                                             "vs model dim 10"):
+            denoiser.remove(np.ones((1, 6)), model)
 
 
 class TestSaveLoad:
@@ -376,8 +386,8 @@ class TestSaveLoad:
         path = tmp_path / "noise.txt"
         denoiser.save(model, path)
         loaded = denoiser.load(path)
-        np.testing.assert_allclose(denoiser.remove_matrix(X, loaded),
-                                   denoiser.remove_matrix(X, model), atol=1e-10)
+        np.testing.assert_allclose(denoiser.remove(X, loaded),
+                                   denoiser.remove(X, model), atol=1e-10)
 
 
 class TestNoiseFileFuzz:
