@@ -97,10 +97,12 @@ def contribution_csv(report: ContributionReport, pipe: Pipeline) -> str:
 
 
 def check_groups(groups: dict[str, list[str]]) -> None:
-    """Refuse no groups, and a group with no tokens."""
+    """Refuse no groups, a group with no name and a group with no tokens."""
     if not groups:
         raise NoppaError("no token groups given")
     for name, tokens in groups.items():
+        if not name:
+            raise NoppaError(f"token group with no name: {tokens!r}")
         if not tokens:
             raise NoppaError(f"empty token group: {name!r}")
 

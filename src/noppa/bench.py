@@ -40,10 +40,11 @@ def _remove_25(rows, model):
 # Sentences per timed chunk of the probe: one pass over all of them lasts
 # long enough for the host's speed to change within it, a chunk does not.
 PROBE_CHUNK = 50
-# The probe's fixed settings, those of acceptance criterion C5: the
-# directions of its noise model, the rounds of every encode timing (each
-# chunk's time is the best of them), the sentences per length and the seed
-# they are drawn with.
+# The probe's fixed settings, those of acceptance criterion C5: the a it
+# encodes at, the directions of its noise model, the rounds of every encode
+# timing (each chunk's time is the best of them), the sentences per length
+# and the seed they are drawn with.
+PROBE_A = 0.05
 PROBE_K = 10
 REPETITIONS = 3
 PROBE_COUNT = 1000
@@ -60,13 +61,13 @@ def check_options(scaling_n: int) -> None:
         raise NoppaError(f"scaling_n must be <= {MAX_SCALE_N}, got {scaling_n}")
 
 
-def report(vectors: VectorTable, frequencies: FrequencyTable,
-           config: EncoderConfig, n: int) -> str:
+def report(vectors: VectorTable, frequencies: FrequencyTable, n: int) -> str:
     """Text of ``noppa bench``: the machine and the scaling probe at n and
     2n on ``PROBE_COUNT`` sentences of each length sampled from the vector
-    vocabulary with ``PROBE_SEED``.  The probe's noise model removes
-    ``PROBE_K`` directions."""
+    vocabulary with ``PROBE_SEED``, encoded at ``PROBE_A`` with positions.
+    The probe's noise model removes ``PROBE_K`` directions."""
     check_options(n)
+    config = EncoderConfig(a=PROBE_A, dim=vectors.dim)
     rng = np.random.default_rng(PROBE_SEED)
     vocab = list(vectors.index)  # token of each row
     chunks = []

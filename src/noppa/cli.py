@@ -54,7 +54,7 @@ class MissingInputError(NoppaError):
     """An input path that names no file (exit 2)."""
 
 
-DEFAULT_A = 0.05  # -a's default, and the a that bench encodes at
+DEFAULT_A = 0.05  # -a's default
 
 # Every flag a subcommand may declare: name -> add_argument keywords.
 _FLAGS = {
@@ -120,8 +120,8 @@ def _build_pipeline(args) -> Pipeline:
 def _write_out(args, pieces):
     """Write the text pieces, in order, to --out (each flushed as it is
     written) or else to stdout."""
-    with (open(args.out, "w", encoding="utf-8", buffering=1) if args.out
-          else contextlib.nullcontext(sys.stdout)) as fh:
+    with (contextlib.nullcontext(sys.stdout) if args.out is None
+          else open(args.out, "w", encoding="utf-8", buffering=1)) as fh:
         fh.writelines(pieces)
 
 
@@ -132,8 +132,9 @@ _CSV_CHUNK_LINES = 16
 
 
 def _embedding_csv(pipe, lines):
-    """The CSV of ``lines``, a chunk at a time as they are embedded: row i is
-    line i's vector, or all nan (and a warning) if it has no known token."""
+    """The CSV of the iterable ``lines``, a chunk at a time as they are
+    embedded: row i is line i's vector, or all nan (and a warning) if it has
+    no known token."""
     nan_row = np.full(2 * pipe.config.dim, np.nan)
     block = []
     for i, row in enumerate(pipe.embed_lines(lines), 1):
@@ -141,9 +142,11 @@ def _embedding_csv(pipe, lines):
             print(f"warning: line {i} produced no embeddable tokens", file=sys.stderr)
             row = nan_row
         block.append(row)
-        if len(block) == _CSV_CHUNK_LINES or i == len(lines):
+        if len(block) == _CSV_CHUNK_LINES:
             yield csvout.format_rows(np.array(block)).decode("ascii")
             block = []
+    if block:
+        yield csvout.format_rows(np.array(block)).decode("ascii")
 
 
 def cmd_embed(args) -> int:
@@ -248,9 +251,7 @@ def cmd_bench(args) -> int:
     from . import bench
 
     bench.check_options(args.scale_n)
-    vectors, frequencies = _load_tables(args)
-    config = EncoderConfig(a=DEFAULT_A, dim=vectors.dim)
-    sys.stdout.write(bench.report(vectors, frequencies, config, args.scale_n))
+    sys.stdout.write(bench.report(*_load_tables(args), args.scale_n))
     return EXIT_OK
 
 
@@ -331,7 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (NoppaError, OSError) as exc:  # OSError: e.g. an unwritable --out
+    # OSError: e.g. an unwritable --out; UnicodeError: an argument that is not
+    # UTF-8 (the shell's bytes, surrogate-escaped) written to a UTF-8 --out.
+    except (NoppaError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -274,8 +274,6 @@ class MLPClassifier:
         self.w2[...] = rng.normal(0.0, np.sqrt(1.0 / self.HIDDEN), shapes[2])
         self._adam_m = np.zeros_like(self.theta)
         self._adam_v = np.zeros_like(self.theta)
-        self._adam_tmp = np.empty_like(self.theta)
-        self._adam_step_size = np.empty_like(self.theta)
         self._adam_t = 0
 
     def _forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,29 +288,18 @@ class MLPClassifier:
         return hidden, logits
 
     def _adam_step(self):
-        """One Adam update of ``theta`` from the gradient in ``_grad``.
-
-        Each operation is elementwise in the same order as the textbook
-        per-tensor form, so the result is the same to the bit."""
+        """One Adam update of ``theta`` from the gradient in ``_grad``,
+        written as the per-tensor reference writes it, so the result is
+        the same to the bit."""
         self._adam_t += 1
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         t = self._adam_t
         g, m, v = self._grad, self._adam_m, self._adam_v
-        tmp, step = self._adam_tmp, self._adam_step_size
         m *= beta1
-        np.multiply(g, 1 - beta1, out=tmp)
-        m += tmp
+        m += (1 - beta1) * g
         v *= beta2
-        np.square(g, out=tmp)
-        tmp *= 1 - beta2
-        v += tmp
-        np.divide(m, 1 - beta1 ** t, out=step)  # m_hat
-        np.divide(v, 1 - beta2 ** t, out=tmp)  # v_hat
-        np.sqrt(tmp, out=tmp)
-        tmp += eps
-        step *= self.LR
-        step /= tmp
-        self.theta -= step
+        v += (1 - beta2) * np.square(g)
+        self.theta -= self.LR * (m / (1 - beta1 ** t)) / (np.sqrt(v / (1 - beta2 ** t)) + eps)
 
     def fit(self, train_x: np.ndarray, train_y: np.ndarray,
             dev_x: np.ndarray | None = None, dev_y: np.ndarray | None = None) -> float:

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from noppa import EncoderConfig, NoppaError
+from noppa import NoppaError
 from noppa import bench
 from noppa.bench import report
 
@@ -16,7 +16,7 @@ class TestReport:
         vt = random_table(rng, vocab_size=50, dim=8)
         ft = random_frequencies(rng, vt)
         monkeypatch.setattr(bench, "PROBE_COUNT", 20)
-        text = report(vt, ft, EncoderConfig(a=0.05, dim=8), 4)
+        text = report(vt, ft, 4)
         lines = text.splitlines()
         assert text.endswith("\n") and len(lines) == 2
         assert re.fullmatch(r"machine: .* \| python \S+ \| numpy \S+ \| cpu .*",
@@ -31,7 +31,7 @@ class TestReport:
         rng = np.random.default_rng(201)
         vt = random_table(rng, vocab_size=20, dim=4)
         with pytest.raises(NoppaError, match=f"^scaling_n must be >= 1, got {n}$"):
-            report(vt, random_frequencies(rng, vt), EncoderConfig(a=0.05, dim=4), n)
+            report(vt, random_frequencies(rng, vt), n)
 
     def test_probe_alternates_short_and_long_encode_passes(self, monkeypatch):
         # A slow spell of the host must hit both sides of the ratio, so the
@@ -47,7 +47,7 @@ class TestReport:
 
         monkeypatch.setattr(bench, "encode_batch", recording)
         monkeypatch.setattr(bench, "PROBE_COUNT", 5)
-        report(vt, ft, EncoderConfig(a=0.05, dim=4), 4)
+        report(vt, ft, 4)
         assert lengths == [[4], [8]] * 3
 
     def test_probe_chunks_take_turns(self, monkeypatch):
@@ -64,7 +64,7 @@ class TestReport:
 
         monkeypatch.setattr(bench, "encode_batch", recording)
         monkeypatch.setattr(bench, "PROBE_COUNT", 120)
-        report(vt, ft, EncoderConfig(a=0.05, dim=4), 4)
+        report(vt, ft, 4)
         assert calls == [([4], 50), ([8], 50), ([4], 50), ([8], 50),
                          ([4], 20), ([8], 20)] * 3
 
@@ -82,7 +82,7 @@ class TestReport:
         monkeypatch.setattr(bench, "encode_batch", recording)
         monkeypatch.setattr(bench, "PROBE_COUNT", 5)
         for _ in range(2):
-            report(vt, ft, EncoderConfig(a=0.05, dim=4), 4)
+            report(vt, ft, 4)
         first, second = drawn[:len(drawn) // 2], drawn[len(drawn) // 2:]
         assert first == second and any(first)
 
@@ -102,5 +102,5 @@ class TestReport:
 
         monkeypatch.setattr(bench.denoiser, "fit", recording)
         monkeypatch.setattr(bench, "PROBE_COUNT", count)
-        report(vt, ft, EncoderConfig(a=0.05, dim=dim), 3)
+        report(vt, ft, 3)
         assert fitted == [k]

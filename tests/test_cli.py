@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import functools
 import io
 import logging
 import math
@@ -11,8 +13,11 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noppa
+import noppa.bench
+import noppa.cli
 from noppa import (EncoderConfig, NoppaError, Pipeline, denoiser, evalkit,
                    lexicon, load_frequencies, load_vectors)
 from noppa.cli import main
@@ -483,6 +488,29 @@ class TestBadFiles:
                     "--out", str(out), sent]) == 1
         _one_line_error(capsys, str(out))
 
+    @pytest.mark.parametrize("sub", ["embed", "attention", "contrib", "weight-curve"])
+    def test_empty_out_exit_1(self, world, capsys, sub):
+        # An empty --out names no file; it does not mean stdout.
+        _, vec, freq, sent = world
+        argv = {"embed": ["--vectors", vec, "--freq", freq, sent],
+                "attention": ["--vectors", vec, "the girl"],
+                "contrib": ["--vectors", vec, "--freq", freq, "the girl"],
+                "weight-curve": ["--freq", freq, "--group", "stop=the"]}[sub]
+        capsys.readouterr()
+        assert run([sub, *argv, "--out", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+
+    def test_non_utf8_argument_written_to_out_is_one_line(self, world, capsys):
+        # Python passes an argument's non-UTF-8 bytes on as lone surrogates,
+        # which a UTF-8 --out cannot hold.
+        tmp, _, freq, _ = world
+        capsys.readouterr()
+        assert run(["weight-curve", "--freq", freq, "--group", "\udcff=the",
+                    "--out", str(tmp / "curve.csv")]) == 1
+        _one_line_error(capsys, "surrogates not allowed")
+
     def test_float32_overflow_is_one_line(self, world):
         # numpy warns on stderr when a component overflows float32; run a
         # real process so that nothing captures the warning before stderr
@@ -922,7 +950,8 @@ class TestBadNumbers:
         ("bad", "--group expects NAME=tok1,tok2,... got 'bad'"),
         ("x=", "empty token group: 'x'"),
         ("x=,,", "empty token group: 'x'"),
-    ], ids=["no-equals", "no-tokens", "only-commas"])
+        ("=the", "token group with no name: ['the']"),
+    ], ids=["no-equals", "no-tokens", "only-commas", "no-name"])
     def test_weight_curve_group_checked_before_loading(self, tmp_path, capsys,
                                                         group, message):
         capsys.readouterr()
@@ -959,22 +988,33 @@ class TestBadNumbers:
         assert capsys.readouterr().err == "error: repeated --group name: 'stop'\n"
 
 
-def _eval(vec, freq, dataset):
-    """``noppa eval --k-grid 0 --seeds 1`` run in process -> (exit code,
-    stderr lines), where stderr holds the error lines and the log records
-    that the CLI's ``logging.basicConfig`` would write there."""
-    err = io.StringIO()
+def _captured(argv):
+    """``main(argv)`` run in process -> (exit code, stdout, stderr lines),
+    where stderr holds the error lines and the log records that the CLI's
+    ``logging.basicConfig`` would write there; a usage error's SystemExit
+    gives its code."""
+    out, err = io.StringIO(), io.StringIO()
     handler = logging.StreamHandler(err)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     root = logging.getLogger()
     root.addHandler(handler)
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["eval", "--vectors", vec, "--freq", freq, "--k-grid", "0",
-                          "--seeds", "1", "--name", "toy", dataset])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
     finally:
         root.removeHandler(handler)
-    return code, err.getvalue().splitlines()
+    return code, out.getvalue(), err.getvalue().splitlines()
+
+
+def _eval(vec, freq, dataset):
+    """``noppa eval --k-grid 0 --seeds 1`` run in process -> (exit code,
+    stderr lines)."""
+    code, _, err = _captured(["eval", "--vectors", vec, "--freq", freq, "--k-grid", "0",
+                              "--seeds", "1", "--name", "toy", dataset])
+    return code, err
 
 
 class TestBadDatasets:
@@ -1204,3 +1244,105 @@ class TestEveryFlagChangesOutput:
                 if self._output(sub, base + a, world, capsys)
                 == self._output(sub, base + b, world, capsys)]
         assert same == [], f"{sub}: output does not depend on {same}"
+
+
+
+# Values that ``TestErrorContract`` gives a flag in place of one it reads,
+# by the type the flag parses.  No number here lies between 5 and 1024, so
+# bench's probe runs at n <= 4 or is refused, and the 30-digit one must be
+# refused before anything is allocated for it.
+_HOSTILE = {
+    int: ["9" * 30, "-1", "0", "x"],
+    float: ["nan", "inf", "1e999", "-1", "0", "9" * 30],
+    str: ["", " ", "9" * 30, "-1", "0", "nan", "x", ",", "1,,2", "=", "=the",
+          "the=", "0.05,-1", "\udcff", "zz qq", "@vectors.txt", "@freq.txt",
+          "@noise.txt", "@sentences.txt", "@ds.tsv", "@missing.txt", "@"],
+}
+# The values each flag reads, by its dest; "@name" is the file name in tmp.
+_GOOD = {
+    "vectors": ["@vectors.txt"], "freq": ["@freq.txt"], "noise_model": ["@noise.txt"],
+    "sentences": ["@sentences.txt"], "dataset": ["@ds.tsv"], "out": ["@out.txt"],
+    "log": ["@runs.log"], "a": ["0.05", "0.1"], "k": ["1", "2"],
+    "directions": ["1", "2"], "sentence": ["the girl eats a cake", "zz"],
+    "group": ["stop=the,a", "content=girl,cake"], "a_grid": ["0.05", "0.05,0.1"],
+    "k_grid": ["0", "0,1"], "seeds": ["1", "1,2"], "name": ["toy"],
+    "train_limit": ["3"], "dev_limit": ["3"], "test_limit": ["3"],
+    "scale_n": ["1", "2", "4"],
+}
+_WORDS = ["the", "girl", "eats", "a", "cake", "dog"]
+_DIM = 12  # 2 _DIM = 24 >= the largest k of eval's default grid
+# The generated input files, each well-formed as often as not so that
+# commands get past loading them.
+_FILES = {
+    "freq.txt": st.just("".join(f"{w}\t{(i + 1) * 37}\n"
+                                for i, w in enumerate(_WORDS)).encode())
+    | frequency_files(),
+    "noise.txt": st.just(f"NOPPA-NOISE v1 k=2 dim={2 * _DIM}\n".encode()
+                         + b"1" + b" 0" * (2 * _DIM - 1) + b"\n"
+                         + b"0 1" + b" 0" * (2 * _DIM - 2) + b"\n2 1\n")
+    | noise_files(dim=2 * _DIM),
+    "ds.tsv": st.just("".join(f"{i % 2}\t{'girl eats cake' if i % 2 else 'dog a the'} "
+                              f"x{i}\n" for i in range(40)).encode())
+    | dataset_files(_WORDS),
+}
+
+
+@functools.cache
+def _subcommands():
+    """subcommand -> its actions, help aside, as ``cli.build_parser``
+    declares them."""
+    parser = noppa.cli.build_parser()
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+            for name, p in sorted(sub.choices.items())}
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, {file name: bytes}): a subcommand, any of its flags (its
+    required ones always), each value one the flag reads but for one flag,
+    whose value is hostile, and the generated files that argv names."""
+    name = draw(st.sampled_from(list(_subcommands())))
+    actions = _subcommands()[name]
+    hostile = draw(st.sampled_from([None, *actions]))
+    options, positionals = [], []
+    for action in actions:
+        good = action.choices or _GOOD.get(action.dest)
+        values = st.sampled_from(list(good) if good and action is not hostile
+                                 else _HOSTILE[action.type or str])
+        if not action.option_strings:
+            positionals.append(draw(values))
+        elif action.required or draw(st.booleans()):
+            times = 2 if isinstance(action, argparse._AppendAction) else 1
+            for _ in range(draw(st.integers(1, times))):
+                options += [action.option_strings[0]] + ([] if action.nargs == 0
+                                                          else [draw(values)])
+    argv = [name, *options, *positionals]
+    return argv, {f: draw(content) for f, content in _FILES.items() if f"@{f}" in argv}
+
+
+class TestErrorContract:
+    """Random command lines drawn from the real parser, on generated input
+    files: ``main`` lets no exception escape, returns a documented exit code,
+    and a failure other than a usage error prints one ``error:`` line."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=command_lines())
+    def test_exit_code_and_one_error_line(self, case, tmp_path_factory):
+        argv, files = case
+        tmp = tmp_path_factory.mktemp("contract")
+        rng = np.random.default_rng(0)
+        (tmp / "vectors.txt").write_text("".join(
+            f"{w} {' '.join(map(str, rng.standard_normal(_DIM)))}\n" for w in _WORDS))
+        (tmp / "sentences.txt").write_text("the girl eats a cake\nzz\na dog\n"
+                                           "girl eats cake\nthe dog eats\n")
+        for name, content in files.items():
+            (tmp / name).write_bytes(content)
+        argv = [str(tmp / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.chdir(tmp)  # a relative --out lands in tmp
+            patch.setattr(noppa.bench, "PROBE_COUNT", 20)  # 1000 would take 0.5 s
+            code, _, err = _captured(argv)
+        errors = [line for line in err if line.startswith("error:")]
+        assert code in (0, 1, 2, 3, 64), (argv, code, err)
+        assert len(errors) == (0 if code in (0, 64) else 1), (argv, code, err)
