@@ -3,8 +3,10 @@
 Subcommands: embed, fit-noise, attention, contrib, weight-curve, eval,
 bench (the length-scaling probe of acceptance criterion C5; the end-to-end
 timing of the other subcommands is ``benchmark/run.py``).  Exit codes: 0
-ok, 1 runtime error, 2 missing input, 3 infeasible configuration, 64
-usage.  Each subcommand accepts only the flags it reads.
+ok, 64 usage, else the ``exit_code`` of the error raised (``errors``: 1
+runtime error, 2 missing input, 3 infeasible configuration; 1 for an
+``OSError`` or ``UnicodeError``).  Each subcommand accepts only the flags
+it reads.
 Randomness enters only through ``eval --seeds`` (``bench``'s probe draws
 its sentences with a fixed seed); identical flags produce byte-identical
 primary output files.
@@ -25,14 +27,11 @@ import numpy as np
 # them, so that embed and fit-noise start without them.
 from . import csvout, denoiser
 from .encoder import VARIANTS, EncoderConfig, check_a_k
-from .errors import InfeasibleConfigError, NoppaError
+from .errors import InfeasibleConfigError, MissingInputError, NoppaError
 from .lexicon import load_frequencies, load_vectors, read_lines
 from .pipeline import Pipeline
 
-EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_MISSING_INPUT = 2
-EXIT_INFEASIBLE = 3
 EXIT_USAGE = 64
 
 DATA_DIR_ENV = "NOPPA_DATA_DIR"
@@ -48,10 +47,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-class MissingInputError(NoppaError):
-    """An input path that names no file (exit 2)."""
 
 
 DEFAULT_A = 0.05  # -a's default
@@ -149,14 +144,13 @@ def _embedding_csv(pipe, lines):
         yield csvout.format_rows(np.array(block)).decode("ascii")
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> None:
     pipe = _build_pipeline(args)
     lines = [line for _, line in read_lines(_open_input(args.sentences))]
     _write_out(args, _embedding_csv(pipe, lines))
-    return EXIT_OK
 
 
-def cmd_fit_noise(args) -> int:
+def cmd_fit_noise(args) -> None:
     pipe = _build_pipeline(args)
     rows = pipe.embed_lines(line for _, line in read_lines(_open_input(args.sentences)))
     model = denoiser.fit((row for row in rows if row is not None), args.k)
@@ -164,25 +158,22 @@ def cmd_fit_noise(args) -> int:
         print(f"warning: {model.undetermined} of the {model.k} noise directions "
               f"are not determined by the data", file=sys.stderr)
     denoiser.save(model, args.out)
-    return EXIT_OK
 
 
-def cmd_attention(args) -> int:
+def cmd_attention(args) -> None:
     from . import analysis
 
     vectors = load_vectors(_open_input(args.vectors))
     _write_out(args, [analysis.attention_report(args.sentence, vectors,
                                                 not args.no_positions)])
-    return EXIT_OK
 
 
-def cmd_contrib(args) -> int:
+def cmd_contrib(args) -> None:
     from . import analysis
 
     pipe = _build_pipeline(args)
     report = analysis.contribution_report(args.sentence, pipe)
     _write_out(args, [analysis.contribution_csv(report, pipe)])
-    return EXIT_OK
 
 
 def _parse_grid(text: str, cast):
@@ -197,7 +188,7 @@ def _parse_grid(text: str, cast):
     return values
 
 
-def cmd_weight_curve(args) -> int:
+def cmd_weight_curve(args) -> None:
     from . import analysis
 
     a_grid = _parse_grid(args.a_grid, float)
@@ -214,10 +205,9 @@ def cmd_weight_curve(args) -> int:
     frequencies = load_frequencies(_open_input(args.freq))
     curve = analysis.weight_curve(groups, frequencies, a_grid)
     _write_out(args, [analysis.weight_curve_csv(curve, frequencies)])
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     from . import evalkit
 
     a_grid = _parse_grid(args.a_grid, float)
@@ -244,15 +234,13 @@ def cmd_eval(args) -> int:
     print(f"dev-best config a={result.best_a:g} k={result.best_k}: "
           f"test {result.test_mean:.1f}±{result.test_std:.2f} "
           f"over {len({r.seed for r in result.runs})} seeds")
-    return EXIT_OK
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> None:
     from . import bench
 
     bench.check_options(args.scale_n)
     sys.stdout.write(bench.report(*_load_tables(args), args.scale_n))
-    return EXIT_OK
 
 
 def build_parser() -> _Parser:
@@ -325,18 +313,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except MissingInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except InfeasibleConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        args.func(args)
     # OSError: e.g. an unwritable --out; UnicodeError: an argument that is not
     # UTF-8 (the shell's bytes, surrogate-escaped) written to a UTF-8 --out.
     except (NoppaError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return getattr(exc, "exit_code", EXIT_ERROR)
+    return 0
 
 
 if __name__ == "__main__":

@@ -3,14 +3,17 @@ a whole matrix at once.
 
 ``format_rows(rows)`` returns what
 ``"".join(",".join(map(repr, row)) + "\\n" for row in rows)`` encodes to, at
-about a third of the cost of ``repr``.  The shortest decimal that reads back as
-the same float, and of those the closest (ties to an even last digit),
-comes from Giulietti's Schubfach algorithm ("The Schubfach way to render
-doubles", 2020), which needs only fixed-width integer arithmetic and so
-runs on uint64 arrays.  The digits are then laid out by Python's ``repr``
-rules: with decpt the decimal exponent (value = 0.d1d2... * 10**decpt),
-fixed notation when -4 < decpt <= 16, else ``d.ddde+XX``; ``nan``, ``inf``
-and signed zeros are plain strings.
+about 0.4 of the cost of ``repr``: on 1504 x 600 standard-normal rows in
+16-row chunks, as ``embed`` writes them, the best of 7 runs took 0.24 s
+against 0.62 s for ``repr`` (2-vCPU Xeon, numpy 2.4.6, Python 3.11; the
+ratio ranged from 0.29 to 0.43 over repeated runs).  The shortest
+decimal that reads back as the same float, and of those the closest (ties
+to an even last digit), comes from Giulietti's Schubfach algorithm ("The
+Schubfach way to render doubles", 2020), which needs only fixed-width
+integer arithmetic and so runs on uint64 arrays.  The digits are then
+laid out by Python's ``repr`` rules: with decpt the decimal exponent
+(value = 0.d1d2... * 10**decpt), fixed notation when -4 < decpt <= 16,
+else ``d.ddde+XX``; ``nan``, ``inf`` and signed zeros are plain strings.
 """
 
 from __future__ import annotations

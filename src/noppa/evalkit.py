@@ -93,32 +93,21 @@ def _hash_split(labeled) -> tuple[list, list, list]:
     return splits
 
 
-def _parse_labeled_line(line: str, lineno: int, path) -> tuple[object, str]:
+def _parse_labeled_line(line: str, lineno: int, path) -> tuple[object, int]:
     fields = line.split("\t")
-    if len(fields) == 2:
-        label, sentence = fields
-        return sentence, label
-    if len(fields) == 3:
-        label, first, second = fields
-        return (first, second), label
-    raise FormatError(f"{path}: expected 2 or 3 tab-separated fields at line {lineno}")
+    if len(fields) not in (2, 3):
+        raise FormatError(f"{path}: expected 2 or 3 tab-separated fields at line {lineno}")
+    token, *sentence = fields
+    label = parse_count(token)
+    if label is None:
+        shown = token if len(token) <= 40 else token[:37] + "..."
+        raise FormatError(f"{path}: unknown label token {shown!r} at line {lineno}")
+    return (sentence[0] if len(sentence) == 1 else tuple(sentence)), label
 
 
-def _read_tsv(path) -> list[tuple[object, str]]:
+def _read_tsv(path) -> list[tuple[object, int]]:
     return [_parse_labeled_line(line, lineno, path)
             for lineno, line in read_lines(path) if line.strip()]
-
-
-def _coerce_labels(rows: list[tuple[object, str]],
-                   name: str) -> list[tuple[object, int]]:
-    out = []
-    for sentence, token in rows:
-        label = parse_count(token)
-        if label is None:
-            shown = token if len(token) <= 40 else token[:37] + "..."
-            raise FormatError(f"{name}: unknown label token {shown!r}")
-        out.append((sentence, label))
-    return out
 
 
 def _inferred_label_count(labels: list[int], name: str) -> int:
@@ -142,13 +131,10 @@ def load_dataset(name: str, path) -> LabeledDataset:
     The labels are 0 .. max(label).
     """
     if os.path.isdir(path):
-        splits = []
-        for split in _SPLITS:
-            split_path = os.path.join(path, f"{split}.tsv")
-            rows = _read_tsv(split_path) if os.path.exists(split_path) else []
-            splits.append(_coerce_labels(rows, name))
+        paths = [os.path.join(path, f"{split}.tsv") for split in _SPLITS]
+        splits = [_read_tsv(p) if os.path.exists(p) else [] for p in paths]
     else:
-        splits = _hash_split(_coerce_labels(_read_tsv(path), name))
+        splits = _hash_split(_read_tsv(path))
     label_count = _inferred_label_count([l for s in splits for _, l in s], name)
     return LabeledDataset(name, *splits, label_count=label_count)
 

@@ -155,20 +155,24 @@ def load_vectors(path) -> VectorTable:
     (``cache_root()``); a later load of the same bytes maps that entry in
     place of parsing the text, with the same result bit for bit.  The
     sha256 comes from the file's stamp when ``_stamped_digest`` trusts it,
-    else from hashing the file.
+    else from hashing the file.  A file that is not regular, such as a pipe,
+    may give up its bytes only once: it is parsed on every load, with no
+    lookup, and still leaves its entry for a later load of the same bytes.
     """
     start = time.perf_counter()
-    digest = _stamped_digest(path)
-    if digest is not None and os.path.isdir(_entry_path(digest)):
-        how = "stamp"
-    else:
-        digest, how = _hash_file(path), "hashed"
-    entry = _entry_path(digest)
-    if os.path.isdir(entry):
-        table = _read_entry(entry, digest)
-        logger.info("vector cache hit: %s (%.3f s, %s)", entry,
-                    time.perf_counter() - start, how)
-        return table
+    st = os.stat(path)
+    if stat.S_ISREG(st.st_mode):
+        digest = _stamped_digest(st)
+        if digest is not None and os.path.isdir(_entry_path(digest)):
+            how = "stamp"
+        else:
+            digest, how = _hash_file(path), "hashed"
+        entry = _entry_path(digest)
+        if os.path.isdir(entry):
+            table = _read_entry(entry, digest)
+            logger.info("vector cache hit: %s (%.3f s, %s)", entry,
+                        time.perf_counter() - start, how)
+            return table
     table = _parse_vectors(path)
     # The bytes parsed may differ from the bytes hashed above if the file
     # changed in between, so the entry is keyed by the parse's own hash.
@@ -200,12 +204,11 @@ def _stamp_path(st: os.stat_result) -> str:
     return os.path.join(cache_root(), "stamps", f"{st.st_dev}-{st.st_ino}.json")
 
 
-def _stamped_digest(path) -> str | None:
-    """The sha256 that the stamp of ``path``'s device and inode records, if
-    its size, mtime and ctime equal the file's ``os.stat``; else None.  A
-    stamp is only a hint: one that is missing, unreadable or malformed is
-    None, never an error."""
-    st = os.stat(path)
+def _stamped_digest(st: os.stat_result) -> str | None:
+    """The sha256 that the stamp of a file's device and inode records, if
+    its size, mtime and ctime equal ``st``, the file's ``os.stat``; else
+    None.  A stamp is only a hint: one that is missing, unreadable or
+    malformed is None, never an error."""
     try:
         with open(_stamp_path(st), "rb") as fh:
             stamp = json.load(fh)

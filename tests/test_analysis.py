@@ -112,6 +112,16 @@ class TestContributionReport:
         pre = analysis.contribution_report("the girl eats a cake", pipe)
         assert post.scores != pre.scores
 
+    def test_zero_word_vector_scores_zero(self, pipe):
+        entries = {t: pipe.vectors.matrix[i] for t, i in pipe.vectors.index.items()}
+        entries["nil"] = np.zeros(4, dtype=np.float32)
+        with_nil = Pipeline(vectors=VectorTable.from_mapping(entries),
+                            frequencies=pipe.frequencies, config=pipe.config)
+        report = analysis.contribution_report("the girl nil cake", with_nil)
+        assert report.tokens == ["the", "girl", "nil", "cake"]
+        assert report.scores[2] == 0.0
+        assert all(score != 0.0 for i, score in enumerate(report.scores) if i != 2)
+
     def test_degenerate_embedding(self, pipe):
         # a noise model spanning the whole space zeroes the embedding
         X = np.eye(8)
@@ -188,6 +198,15 @@ class TestWeightCurve:
         ft = FrequencyTable.from_counts({"x": 1})
         with pytest.raises(NoppaError, match="empty token group"):
             analysis.weight_curve({"bad": []}, ft, [0.1])
+
+    @pytest.mark.parametrize("groups,a_grid,match", [
+        ({}, [0.1], "no token groups given"),
+        ({"g": ["x"]}, [], "empty a grid"),
+    ], ids=["no-groups", "empty-grid"])
+    def test_bad_groups_or_grid_rejected(self, groups, a_grid, match):
+        ft = FrequencyTable.from_counts({"x": 1})
+        with pytest.raises(NoppaError, match=match):
+            analysis.weight_curve(groups, ft, a_grid)
 
     def test_csv_layout(self):
         ft = FrequencyTable.from_counts({"x": 1, "y": 3})

@@ -21,6 +21,8 @@ import noppa.cli
 from noppa import (EncoderConfig, NoppaError, Pipeline, denoiser, evalkit,
                    lexicon, load_frequencies, load_vectors)
 from noppa.cli import main
+from noppa.errors import (EmptySentenceError, FormatError, InfeasibleConfigError,
+                          MissingInputError)
 
 from file_strategies import dataset_files, frequency_files, noise_files
 
@@ -395,13 +397,14 @@ class TestFitNoise:
         assert not np.allclose(raw, cleaned)
 
 
-def _python(*args):
-    """Run a fresh interpreter that imports this checkout's noppa."""
+def _python(*args, stdin=None):
+    """Run a fresh interpreter that imports this checkout's noppa, with the
+    text ``stdin`` on its standard input."""
     src = os.path.dirname(os.path.dirname(noppa.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=env, timeout=120, input=stdin)
 
 
 def _one_line_error(capsys, *fragments):
@@ -589,6 +592,21 @@ class TestVectorCache:
         capsys.readouterr()
         assert run(["embed", "--vectors", vec, "--freq", freq, sent]) == 1
         _one_line_error(capsys, "corrupted vector cache entry", str(entry))
+
+    def test_piped_vectors_parsed_on_a_miss(self, world, vector_cache):
+        # A pipe gives up its bytes once: they cannot be hashed for the cache
+        # lookup and then parsed.
+        tmp, vec, freq, sent = world
+        with open(vec, encoding="utf-8") as fh:
+            table = fh.read()
+        embed = ["-m", "noppa.cli", "embed", "--freq", freq, "--vectors"]
+        piped = _python(*embed, "/dev/stdin", sent, stdin=table)
+        assert (piped.returncode, piped.stderr) == (0, "")
+        assert os.path.isdir(lexicon._entry_path(lexicon._parse_vectors(vec).source_hash))
+        regular = _python(*embed, vec, sent)
+        assert regular.returncode == 0
+        assert piped.stdout == regular.stdout != ""
+        assert _python(*embed, "/dev/stdin", sent, stdin=table).stdout == piped.stdout
 
     def test_unwritable_cache_root_same_bytes(self, world, vector_cache,
                                               monkeypatch, capsys):
@@ -1079,7 +1097,8 @@ class TestBadDatasets:
         ds.write_text("".join(f"{i % 2}\tgirl eats cake {i}\n" for i in range(40))
                       + "9" * 5000 + "\tgirl\n")
         code, err = _eval(*world[1:3], str(ds))
-        assert (code, err) == (1, [f"error: toy: unknown label token '{'9' * 37}...'"])
+        assert (code, err) == (1, [f"error: {ds}: unknown label token '{'9' * 37}...' "
+                                   "at line 41"])
 
     @settings(max_examples=100, deadline=None)
     @given(content=dataset_files(WORDS))
@@ -1346,3 +1365,21 @@ class TestErrorContract:
         errors = [line for line in err if line.startswith("error:")]
         assert code in (0, 1, 2, 3, 64), (argv, code, err)
         assert len(errors) == (0 if code in (0, 64) else 1), (argv, code, err)
+
+    @pytest.mark.parametrize("error,code", [
+        (NoppaError("bad"), 1),
+        (FormatError("bad"), 1),
+        (EmptySentenceError("bad"), 1),
+        (InfeasibleConfigError("bad"), 3),
+        (MissingInputError("bad"), 2),
+        (OSError("bad"), 1),
+        (UnicodeEncodeError("utf-8", "\udcff", 0, 1, "surrogates not allowed"), 1),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+    def test_exit_code_of_each_error_type(self, monkeypatch, error, code):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(noppa.cli, "cmd_bench", fail)
+        result, out, err = _captured(["bench", "--vectors", "v", "--freq", "f",
+                                      "--scale-n", "1"])
+        assert (result, out, err) == (code, "", [f"error: {error}"])

@@ -247,6 +247,36 @@ class TestVectorCache:
         assert lines[0].startswith(f"vector cache miss, wrote {entry} (")
         assert lines[1].startswith(f"vector cache hit: {entry} (")
 
+    @pytest.mark.parametrize("xdg", [None, "", "relative/cache"],
+                             ids=["unset", "empty", "relative"])
+    def test_cache_root_falls_back_to_home(self, tmp_path, monkeypatch, xdg):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        if xdg is None:
+            monkeypatch.delenv("XDG_CACHE_HOME")
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+        assert lexicon.cache_root() == os.path.join(str(tmp_path), ".cache", "noppa")
+
+    @pytest.mark.parametrize("failing", ["replace", "rename"])
+    def test_failed_publish_leaves_no_temporary(self, tmp_path, monkeypatch,
+                                                vector_cache, failing):
+        # os.replace publishes a stamp, os.rename a cache entry.
+        p = tmp_path / "vec.txt"
+        write_lines(p, ["alpha 1 2 3", "beta -4.5 5e-3 6"])
+        reference = lexicon._parse_vectors(p)
+        settle(monkeypatch)
+
+        def fail(src, dst):
+            raise OSError(f"cannot publish {dst}")
+
+        monkeypatch.setattr(lexicon.os, failing, fail)
+        for _ in range(2):
+            assert_same_table(load_vectors(p), reference)
+        assert list(vector_cache.rglob(".tmp-*")) == []
+        assert (failing == "replace") == os.path.isdir(
+            lexicon._entry_path(reference.source_hash))
+        assert (failing == "rename") == os.path.exists(stamp_of(p))
+
 
 def settle(monkeypatch):
     """Load as if each file last changed a minute ago, so that a load which
@@ -434,6 +464,15 @@ class TestVectorFileFuzz:
 
 
 class TestFromMapping:
+    @pytest.mark.parametrize("entries,match", [
+        ({}, "vector table must not be empty"),
+        ({"a": [[1.0, 2.0]]}, "vector for 'a' is not 1-dimensional"),
+        ({"a": [1.0], "b": [float("nan")]}, "non-finite vector for 'b'"),
+    ], ids=["empty", "2-d", "non-finite"])
+    def test_refused(self, entries, match):
+        with pytest.raises(FormatError, match=match):
+            VectorTable.from_mapping(entries)
+
     def test_inconsistent_dimensions(self):
         with pytest.raises(FormatError, match=r"inconsistent vector dimensions: \[2, 3\]"):
             VectorTable.from_mapping({"a": [1, 2], "b": [1, 2, 3]})
